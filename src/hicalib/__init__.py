@@ -15,10 +15,8 @@ from .adversary import (
     HardSeqConfig,
     HardSequenceAdversary,
     IIDAdversary,
-    adaptive_argmin_adversary,
     day_distribution,
     day_tuple,
-    iid_adversary,
     sample_outcome,
     sample_tau_tree,
 )

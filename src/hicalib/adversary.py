@@ -154,7 +154,7 @@ class IIDAdversary:
         self.q = q
         self.name = "iid"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None, history=None) -> RationalDist:
+    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
         return self.q
 
 
@@ -172,7 +172,7 @@ class AdaptiveArgminAdversary:
         self.d = d
         self.name = "adaptive_argmin"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None, history=None) -> RationalDist:
+    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
         if mixture is None:
             raise ConfigInvalid("adaptive adversary needs the day's mixture")
         scores = [Fraction(0)] * self.d
@@ -200,16 +200,8 @@ class HardSequenceAdversary:
         self.tree = tree
         self.name = "hard"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None, history=None) -> RationalDist:
+    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
         return day_distribution(self.tree, t, self.cfg)
-
-
-def iid_adversary(q: RationalDist) -> IIDAdversary:
-    return IIDAdversary(q)
-
-
-def adaptive_argmin_adversary(d: int) -> AdaptiveArgminAdversary:
-    return AdaptiveArgminAdversary(d)
 
 
 def export_hard_sequence_jsonl(path, cfg: HardSeqConfig, tree: TauTree, seed: int | None) -> None:

@@ -1,56 +1,14 @@
-"""Kernel backend selection: compiled extension when available, pure fallback.
-
-Both backends implement the same draw-for-draw contract, so results are
-bit-identical either way.  Set HICALIB_BACKEND=pure|compiled to force one
-(compiled raises if the extension is missing); set_backend() does the same
-programmatically for benchmarks and tests.
-"""
+"""The day-simulation kernel in use: always the pure-Python `_kernel_py`."""
 
 from __future__ import annotations
 
-import os
-
 from . import _kernel_py
-
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
-
-_BACKENDS = {"pure": _kernel_py}
-if _speedups is not None:
-    _BACKENDS["compiled"] = _speedups
-
-
-def _initial() -> str:
-    env = os.environ.get("HICALIB_BACKEND")
-    if env:
-        if env not in ("pure", "compiled"):
-            raise RuntimeError(f"HICALIB_BACKEND must be pure or compiled, got {env!r}")
-        if env not in _BACKENDS:
-            raise RuntimeError("HICALIB_BACKEND=compiled but the extension is not built")
-        return env
-    return "compiled" if _speedups is not None else "pure"
-
-
-_active_name = _initial()
 
 
 def active():
-    """The kernel module currently in use."""
-    return _BACKENDS[_active_name]
+    """The kernel module."""
+    return _kernel_py
 
 
 def active_name() -> str:
-    return _active_name
-
-
-def available() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def set_backend(name: str) -> None:
-    global _active_name
-    if name not in _BACKENDS:
-        raise RuntimeError(f"backend {name!r} not available; built: {available()}")
-    _active_name = name
+    return "pure"

@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import backend, harness
+from . import harness
 from .errors import HicalibError
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hicalib",
-        description="High-dimensional online calibration lab "
-        f"(kernel backend: {backend.active_name()})",
+        description="High-dimensional online calibration lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,8 +4,8 @@ Every level's prediction is frozen within leaf blocks of S consecutive days
 (the finest iteration), so a run advances block by block: exact-rational
 bookkeeping (predictions, canonical keys, calibration tallies) happens only
 at iteration boundaries, while the per-day work (outcome draws and, in
-sampled mode, the uniform sub-forecaster draw) is delegated to the kernel
-backend (compiled if built, pure otherwise; bit-identical either way).
+sampled mode, the uniform sub-forecaster draw) is delegated to the
+`_kernel_py` day-simulation kernel, which handles any denominator.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import backend
+from . import _kernel_py
 from .errors import ConfigInvalid
 from .forecaster import (
     ForecastConfig,
@@ -34,11 +34,10 @@ from .forecaster import (
     smoothed_prediction,
 )
 from .metrics import DayRecord, Transcript
-from .rng import ROLE_LEVEL, ROLE_OUTCOME, Stream, stream_key
+from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
 from .simplex import Outcome, PredictionKey, RationalDist
 
 RETAIN_LIMIT = 1 << 20
-KERNEL_DEN_LIMIT = 1 << 62
 
 
 @dataclass
@@ -50,7 +49,6 @@ class RunResult:
     trial: int
     mode: str
     adversary_name: str
-    backend_name: str
     keys: list[PredictionKey]
     level_iter_keys: list[list[int]]
     leaf_counts: list[list[int]]
@@ -78,39 +76,6 @@ class RunResult:
         for kid in self.block_key_ids(b):
             mults[kid] = mults.get(kid, 0) + 1
         return tuple(sorted(mults.items(), key=lambda kv: self.keys[kv[0]]))
-
-
-def _sim_days_bigden(
-    ostream: Stream,
-    n_days: int,
-    cums: list[int],
-    den: int,
-    lstream: Stream,
-    n_levels: int,
-    sample_levels: bool,
-    record_outcomes: bool,
-    record_levels: bool,
-):
-    """Arbitrary-precision twin of the kernel's sim_days for huge denominators."""
-    d = len(cums)
-    counts = [0] * d
-    tally = [[0] * d for _ in range(n_levels)] if sample_levels else None
-    outcomes = [] if record_outcomes else None
-    levels = [] if record_levels else None
-    for _ in range(n_days):
-        u = ostream.below(den)
-        idx = 0
-        while cums[idx] <= u:
-            idx += 1
-        counts[idx] += 1
-        if outcomes is not None:
-            outcomes.append(idx + 1)
-        if sample_levels:
-            v = lstream.below(n_levels)
-            tally[v][idx] += 1
-            if levels is not None:
-                levels.append(v)
-    return counts, tally, outcomes, levels
 
 
 def _drive(
@@ -143,7 +108,6 @@ def _drive(
     need_outcomes = retain_outcomes or on_day is not None
     need_levels = sampled and need_outcomes
 
-    kern = backend.active()
     okey, octr = stream_key(seed, ROLE_OUTCOME, trial), 0
     lkey, lctr = stream_key(seed, ROLE_LEVEL, trial), 0
 
@@ -228,7 +192,7 @@ def _drive(
             dist = adversary.next(t_first, mixture=mix_rec)
             dists = [dist]
             octr, lctr, counts, tally, out_seg, lv_seg = _produce_const(
-                dist, S, d, L, sampled, need_outcomes, need_levels, kern,
+                dist, S, d, L, sampled, need_outcomes, need_levels,
                 okey, octr, lkey, lctr,
             )
         else:
@@ -241,7 +205,7 @@ def _drive(
                 dist = adversary.next(t_first + j, mixture=mix_rec)
                 dists.append(dist)
                 octr, lctr, c1, t1, o1, l1 = _produce_const(
-                    dist, 1, d, L, sampled, need_outcomes, need_levels, kern,
+                    dist, 1, d, L, sampled, need_outcomes, need_levels,
                     okey, octr, lkey, lctr,
                 )
                 for i in range(d):
@@ -296,7 +260,6 @@ def _drive(
         mode=mode,
         adversary_name=adversary_name
         or (adversary.name if adversary is not None else "replay"),
-        backend_name=backend.active_name(),
         keys=keys,
         level_iter_keys=level_iter_keys,
         leaf_counts=leaf_counts,
@@ -308,7 +271,7 @@ def _drive(
     )
 
 
-def _produce_const(dist, n, d, L, sampled, want_out, want_lvl, kern, okey, octr, lkey, lctr):
+def _produce_const(dist, n, d, L, sampled, want_out, want_lvl, okey, octr, lkey, lctr):
     """Simulate n days of one fixed outcome law; point masses draw nothing."""
     if dist.d != d:
         raise ConfigInvalid(f"adversary dimension {dist.d} != forecaster d {d}")
@@ -320,7 +283,7 @@ def _produce_const(dist, n, d, L, sampled, want_out, want_lvl, kern, okey, octr,
         tally = None
         lv_seg = None
         if sampled:
-            lctr, lv_counts, lv_seg = kern.draw_level_counts(
+            lctr, lv_counts, lv_seg = _kernel_py.draw_level_counts(
                 lkey, lctr, n, L, want_lvl
             )
             tally = [[0] * d for _ in range(L)]
@@ -332,19 +295,10 @@ def _produce_const(dist, n, d, L, sampled, want_out, want_lvl, kern, okey, octr,
         for nu in dist.numerators:
             acc += nu
             cums.append(acc)
-        if dist.denominator < KERNEL_DEN_LIMIT:
-            octr, lctr, counts, tally, out_seg, lv_seg = kern.sim_days(
-                okey, octr, n, cums, dist.denominator, d,
-                lkey, lctr, L, sampled, want_out, want_lvl,
-            )
-        else:
-            ostream = Stream(okey, octr)
-            lstream = Stream(lkey, lctr)
-            counts, tally, out_seg, lv_seg = _sim_days_bigden(
-                ostream, n, cums, dist.denominator, lstream, L, sampled,
-                want_out, want_lvl,
-            )
-            octr, lctr = ostream.counter, lstream.counter
+        octr, lctr, counts, tally, out_seg, lv_seg = _kernel_py.sim_days(
+            okey, octr, n, cums, dist.denominator, d,
+            lkey, lctr, L, sampled, want_out, want_lvl,
+        )
     return octr, lctr, counts, tally, out_seg, lv_seg
 
 

@@ -164,12 +164,6 @@ class MixtureRecord:
     t: int
     entries: tuple[tuple[PredictionKey, Fraction], ...]
 
-    def weight_of(self, key: PredictionKey) -> Fraction:
-        for k, w in self.entries:
-            if k == key:
-                return w
-        return Fraction(0)
-
 
 def merge_mixture(t: int, keys: Iterable[PredictionKey], L: int) -> MixtureRecord:
     """Weight 1/L per level, equal keys merged, entries sorted for determinism."""

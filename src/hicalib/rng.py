@@ -5,7 +5,8 @@ Draw number ``n`` (1-based) of a stream with key ``k`` is
 finalizer.  Streams are therefore stateless up to an integer counter, which
 makes them trivially reproducible and lets independent roles (outcome draws,
 sub-forecaster sampling, tau-tree draws) advance without perturbing each
-other.  The compiled kernel implements the identical function over uint64.
+other.  The day-simulation kernel (`_kernel_py`) inlines `Stream.below` and
+consumes the same draws.
 
 Identifier recorded in transcript headers: ``splitmix64-ctr/1``.
 """
@@ -60,8 +61,8 @@ class Stream:
     def below(self, n: int) -> int:
         """Exactly uniform integer in [0, n) via rejection sampling.
 
-        Uses as many 64-bit draws per attempt as n requires; for n < 2**64
-        the draw sequence matches the compiled kernel word for word.
+        Uses as many 64-bit draws per attempt as n requires, so for
+        n < 2**64 each attempt is one draw.
         """
         if n < 1:
             raise ValueError(f"below() requires n >= 1, got {n}")

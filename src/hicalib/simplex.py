@@ -153,10 +153,6 @@ def canonical_key(a: RationalDist) -> PredictionKey:
     return a.key
 
 
-def dist_from_key(key: PredictionKey) -> RationalDist:
-    return make_rational_dist(key.numerators, key.denominator)
-
-
 def dist_from_json(obj) -> RationalDist:
     """Parse the [[n_1,...,n_d], den] transcript form."""
     if (

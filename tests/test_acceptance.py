@@ -328,5 +328,4 @@ def test_criterion_8_reproducibility(tmp_path):
 
 def test_backend_note():
     # not a criterion: records which kernel ran the suite
-    print(f"[acceptance] kernel backend: {backend.active_name()} "
-          f"(available: {', '.join(backend.available())})")
+    print(f"[acceptance] kernel backend: {backend.active_name()}")

@@ -1,7 +1,9 @@
 import pytest
 
-from hicalib import backend
+from hicalib import _kernel_py
+from hicalib.adversary import sample_outcome
 from hicalib.rng import GOLDEN, MASK64, Stream, draw_u64, mix64, stream_key
+from hicalib.simplex import make_rational_dist
 
 
 def test_mix64_reference_values():
@@ -65,16 +67,44 @@ def test_below_rejects_nonpositive():
         Stream(key=1).below(0)
 
 
-@pytest.mark.skipif(len(backend.available()) < 2, reason="extension not built")
-def test_kernel_backends_draw_identically():
-    from hicalib import _kernel_py, _speedups
+# Denominators around 2**62 and 2**63, and on both sides of 2**64, above
+# which each rejection attempt draws more than one 64-bit word.
+KERNEL_DENS = [
+    10, (1 << 62) - 1, 1 << 62, (1 << 62) + 7, (1 << 63) + 3,
+    (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 70) + 12345,
+]
 
-    cums = [3, 5, 9, 10]
-    for args in [
-        (11, 0, 500, cums, 10, 4, 22, 0, 3, True, True, True),
-        (7, 5, 100, [1, 2], 2, 2, 9, 3, 1, False, True, False),
-    ]:
-        assert _kernel_py.sim_days(*args) == _speedups.sim_days(*args)
-    assert _kernel_py.draw_level_counts(4, 0, 1000, 5, True) == _speedups.draw_level_counts(
-        4, 0, 1000, 5, True
+
+@pytest.mark.parametrize("den", KERNEL_DENS)
+def test_kernel_matches_stream_reference(den):
+    nums = [1, den // 3, den - 1 - den // 3]
+    dist = make_rational_dist(nums, den)
+    cums = [nums[0], nums[0] + nums[1], den]
+    n_days, n_levels = 300, 3
+    okey, octr, lkey, lctr = 11, 5, 22, 2
+    ostream, lstream = Stream(okey, octr), Stream(lkey, lctr)
+    outcomes, levels = [], []
+    for _ in range(n_days):
+        outcomes.append(sample_outcome(dist, ostream).index)
+        levels.append(lstream.below(n_levels))
+    counts = [outcomes.count(i) for i in (1, 2, 3)]
+    tally = [[0] * 3 for _ in range(n_levels)]
+    for x, v in zip(outcomes, levels):
+        tally[v][x - 1] += 1
+
+    got = _kernel_py.sim_days(
+        okey, octr, n_days, cums, den, 3, lkey, lctr, n_levels, True, True, True
     )
+    assert got == (ostream.counter, lstream.counter, counts, tally, outcomes, levels)
+    # without level sampling the level stream is left untouched
+    assert _kernel_py.sim_days(
+        okey, octr, n_days, cums, den, 3, lkey, lctr, n_levels, False, True, False
+    ) == (ostream.counter, lctr, counts, None, outcomes, None)
+
+
+def test_kernel_level_draws_match_stream_reference():
+    s = Stream(4, 7)
+    seq = [s.below(5) for _ in range(1000)]
+    counts = [seq.count(v) for v in range(5)]
+    assert _kernel_py.draw_level_counts(4, 7, 1000, 5, True) == (s.counter, counts, seq)
+    assert _kernel_py.draw_level_counts(4, 7, 1000, 5, False) == (s.counter, counts, None)
