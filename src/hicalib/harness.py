@@ -4,9 +4,15 @@ Configuration files are flat ``key = value`` lines (unknown keys are
 errors).  Transcripts are JSONL: a header record with the full
 configuration, then one record per day whose values are all exact integers
 or integer pairs, so identical (config, seed) reruns are byte-identical.
-Certification replays the raw outcome history, checks the recorded
-mixtures against the recomputed predictions, and then runs the full proof
-certificate on the rebuilt run.
+Certification validates the header (format, ``rng``, ``T == S*H**L``, a
+known ``mode``), replays the raw outcome history, checks the recorded
+mixtures and realized keys against the recomputed predictions, and then
+runs the full proof certificate on the rebuilt run.  Records are decoded
+strictly: any float, NaN or Infinity, a non-integer ``t`` or ``outcome``,
+or a ``realized`` field present outside sampled mode (or missing inside it)
+is a ``CorruptRecord``.  The recorded mixture is constant over each S-day
+block, so the consistency pass canonicalises a mixture only when it
+differs from the previous day's, and each distinct key once.
 """
 
 from __future__ import annotations
@@ -257,7 +263,8 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
             ser = []
             for kid, mult in entries:
                 w = Fraction(mult, rc.cfg.L)
-                ser.append([json.loads(_key_json_frag(keys[kid])), [w.numerator, w.denominator]])
+                key = keys[kid]
+                ser.append([[list(key.numerators), key.denominator], [w.numerator, w.denominator]])
             block_state["mix"] = json.dumps(ser)
             block_state["realized"] = [_key_json_frag(keys[kid]) for kid in kids]
 
@@ -309,24 +316,75 @@ def _write_csv(path: str, rows) -> None:
 
 # -- cmd_certify ---------------------------------------------------------------
 
-def _parse_header(line: str) -> dict:
+def _reject_number(text: str):
+    raise CorruptRecord(f"non-integer number {text} in transcript")
+
+
+def _parse_header(line: str, decode) -> tuple[dict, ForecastConfig, bool]:
+    """Decode and validate the header; returns it, its config and whether it is sampled."""
     try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
+        header = decode(line)
+    except CorruptRecord as exc:
+        raise CorruptRecord(f"header: {exc}") from None
+    except ValueError as exc:
         raise CorruptRecord(f"header is not JSON: {exc}") from None
-    if header.get("format") != TRANSCRIPT_FORMAT:
-        raise CorruptRecord(f"unexpected transcript format {header.get('format')!r}")
-    return header
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != TRANSCRIPT_FORMAT:
+        raise CorruptRecord(f"unexpected transcript format {fmt!r}")
+    if header.get("rng") != RNG_ID:
+        raise CorruptRecord(f"header rng {header.get('rng')!r}, expected {RNG_ID!r}")
+    conf = header.get("config")
+    if not isinstance(conf, dict):
+        raise CorruptRecord(f"header config is not an object: {conf!r}")
+    try:
+        cfg = ForecastConfig(
+            d=conf["d"], L=conf["L"], H=conf["H"], S=conf["S"], m=conf["m"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise CorruptRecord(f"bad config in header: {exc}") from None
+    if header.get("T") != cfg.T:
+        raise CorruptRecord(f"header T {header.get('T')!r} != S*H**L = {cfg.T}")
+    mode = conf.get("mode")
+    if mode not in ("distributional", "sampled"):
+        raise CorruptRecord(f"header mode must be distributional or sampled, got {mode!r}")
+    return header, cfg, mode == "sampled"
 
 
 def _canonical_key_of(obj) -> tuple:
     try:
         dist = dist_from_json(obj)
-    except HicalibError as exc:
+    except (HicalibError, TypeError, ValueError) as exc:
         raise CorruptRecord(f"bad distribution in transcript: {exc}") from None
     if dist.to_json() != [list(obj[0]), obj[1]]:
         raise CorruptRecord(f"non-canonical distribution in transcript: {obj!r}")
     return dist.key
+
+
+def _memo_key(obj, memo: dict) -> tuple:
+    """Canonical key of a serialized distribution, canonicalising each distinct one once."""
+    try:
+        nums, den = obj
+        return memo[(tuple(nums), den)]
+    except (KeyError, TypeError, ValueError):
+        key = _canonical_key_of(obj)
+        # A canonical fragment's hashable form equals its key.
+        memo[key] = key
+        return key
+
+
+def _mixture_of(mix, memo: dict) -> dict:
+    """Recorded mixture as {canonical key: weight}; its weights must sum to 1."""
+    try:
+        seen = {}
+        for key_obj, weight in mix:
+            key = _memo_key(key_obj, memo)
+            w = Fraction(weight[0], weight[1])
+            seen[key] = seen[key] + w if key in seen else w
+    except (TypeError, ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
+        raise CorruptRecord(f"bad mixture: {exc}") from None
+    if sum(seen.values()) != 1:
+        raise CorruptRecord("mixture weights do not sum to 1")
+    return seen
 
 
 def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
@@ -334,68 +392,78 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     transcript_path = os.path.join(run_dir, TRANSCRIPT_NAME)
     if not os.path.exists(transcript_path):
         raise MissingTranscript(f"no {TRANSCRIPT_NAME} in {run_dir}")
+    # Transcripts hold only integers.  Rejecting floats, NaN and Infinity also
+    # makes ``==`` on decoded records match what canonicalising them would
+    # conclude (``[1.0, 3] == [1, 3]`` would not be corrupt otherwise), which
+    # the consistency pass relies on to skip unchanged mixtures.
+    decode = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
     with open(transcript_path, encoding="utf-8") as fh:
-        header = _parse_header(fh.readline())
-        conf = header.get("config", {})
-        try:
-            cfg = ForecastConfig(
-                d=conf["d"], L=conf["L"], H=conf["H"], S=conf["S"], m=conf["m"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise CorruptRecord(f"bad config in header: {exc}") from None
+        header, cfg, sampled = _parse_header(fh.readline(), decode)
+        d = cfg.d
         outcomes = []
         for lineno, line in enumerate(fh, 2):
             try:
-                rec = json.loads(line)
+                rec = decode(line)
                 t, outcome = rec["t"], rec["outcome"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (CorruptRecord, ValueError, KeyError, TypeError) as exc:
                 raise CorruptRecord(f"line {lineno}: {exc}") from None
-            if t != lineno - 1:
-                raise CorruptRecord(f"line {lineno}: day {t} out of order")
-            if not isinstance(outcome, int) or not 1 <= outcome <= cfg.d:
-                raise CorruptRecord(f"line {lineno}: outcome {outcome!r} out of range")
+            if type(t) is not int or t != lineno - 1:
+                raise CorruptRecord(f"line {lineno}: day {t!r} out of order")
+            if type(outcome) is not int or not 1 <= outcome <= d:
+                raise CorruptRecord(
+                    f"line {lineno}: outcome {outcome!r} not an integer in [1, {d}]"
+                )
+            if ("realized" in rec) is not sampled:
+                raise CorruptRecord(
+                    f"line {lineno}: 'realized' must be recorded exactly in sampled mode"
+                )
             outcomes.append(outcome)
     if len(outcomes) != cfg.T:
         raise CorruptRecord(f"expected {cfg.T} day records, found {len(outcomes)}")
 
     rebuilt = engine.run_from_outcomes(
-        cfg, outcomes, adversary_name=conf.get("adversary", "unknown")
+        cfg, outcomes, adversary_name=header["config"].get("adversary", "unknown")
     )
 
     # Second streaming pass: recorded mixtures and realized keys must match
-    # the predictions recomputed from the raw outcome history.
+    # the predictions recomputed from the raw outcome history.  A mixture is
+    # canonicalised only when it differs from the previous day's and compared
+    # with the block's expected mixture only when either side changes; each
+    # distinct key fragment, in a mixture or a realized field, is
+    # canonicalised once.  Strict decoding makes these shortcuts reach the
+    # same verdict as checking every day afresh.
     mismatches = 0
+    S, L = cfg.S, cfg.L
     with open(transcript_path, encoding="utf-8") as fh:
         fh.readline()
-        cached_block = -1
-        expected: dict | None = None
-        block_keys: set | None = None
-        for lineno, line in enumerate(fh, 2):
-            rec = json.loads(line)
-            t = rec["t"]
-            b = (t - 1) // cfg.S
-            if b != cached_block:
-                cached_block = b
-                entries = rebuilt.block_entries(b)
+        prev_mix = object()  # equal to no decoded value
+        seen: dict = {}
+        expected: dict = {}
+        mix_ok = False
+        canonical: dict = {}  # hashable form of a canonical fragment -> its key
+        for t, line in enumerate(fh, 1):
+            rec = decode(line)
+            stale = False
+            if (t - 1) % S == 0:
                 expected = {
-                    rebuilt.keys[kid]: Fraction(mult, cfg.L) for kid, mult in entries
+                    rebuilt.keys[kid]: Fraction(mult, L)
+                    for kid, mult in rebuilt.block_entries((t - 1) // S)
                 }
-                block_keys = set(expected)
+                stale = True
             try:
-                seen = {}
-                for key_obj, weight in rec.get("mixture", []):
-                    key = _canonical_key_of(key_obj)
-                    seen[key] = seen.get(key, Fraction(0)) + Fraction(weight[0], weight[1])
-                if sum(seen.values(), Fraction(0)) != 1:
-                    raise CorruptRecord(f"line {lineno}: mixture weights do not sum to 1")
-            except (TypeError, IndexError, ZeroDivisionError) as exc:
-                raise CorruptRecord(f"line {lineno}: bad mixture: {exc}") from None
-            if seen != expected:
-                mismatches += 1
-                continue
-            if "realized" in rec:
-                if _canonical_key_of(rec["realized"]) not in block_keys:
+                mix = rec.get("mixture", [])
+                if mix != prev_mix:
+                    seen = _mixture_of(mix, canonical)
+                    prev_mix = mix
+                    stale = True
+                if stale:
+                    mix_ok = seen == expected
+                if not mix_ok:
                     mismatches += 1
+                elif sampled and _memo_key(rec["realized"], canonical) not in expected:
+                    mismatches += 1
+            except CorruptRecord as exc:
+                raise CorruptRecord(f"line {t + 1}: {exc}") from None
 
     consistency = CheckRow(
         name="transcript-consistency",

@@ -226,6 +226,200 @@ class TestCmdCertify:
             cmd_certify(str(tmp_path / "run"))
 
 
+SAMPLED_CFG = """\
+d = 3
+L = 2
+H = 2
+S = 4
+m = 2
+mode = sampled
+adversary = iid
+iid_q = 1,2,3
+"""
+POINT_MASS = [[1, 0, 0], 1]  # canonical, but never a smoothed prediction
+
+
+def sampled_run(tmp_path, S=4):
+    cfg_path = write_config(tmp_path, SAMPLED_CFG.replace("S = 4", f"S = {S}"))
+    cmd_run(cfg_path, seed=3, out_dir=str(tmp_path / "run"))
+    return tmp_path / "run" / "transcript.jsonl"
+
+
+def rewrite(path, edit):
+    """Decode every line, let edit(records) change them in place, write them back."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(recs)
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+
+
+def consistency_of(run_dir):
+    report, code = cmd_certify(str(run_dir))
+    check = next(c for c in report.checks if c.name == "transcript-consistency")
+    return check.measured, code
+
+
+def _set(field, value, t=3):
+    def edit(recs):
+        recs[t][field] = value
+    return edit
+
+
+def _header(field, value):
+    def edit(recs):
+        recs[0][field] = value
+    return edit
+
+
+def _float_weight(recs):
+    recs[3]["mixture"][0][1][1] = float(recs[3]["mixture"][0][1][1])
+
+
+def _config_mode(recs):
+    recs[0]["config"]["mode"] = "samled"
+
+
+def _header_t_down(recs):
+    recs[0]["T"] -= 1
+
+
+def _drop_realized(recs):
+    for rec in recs[1:]:
+        del rec["realized"]
+
+
+def _three_element_entry(recs):
+    recs[3]["mixture"][0].append([1, 1])
+
+
+def _dict_weight(recs):
+    recs[3]["mixture"][0][1] = {"a": 1}
+
+
+def _header_not_object(recs):
+    recs[0] = [1]
+
+
+def _known_key_plus_element(recs):
+    # day 2's key is canonical and memoised; day 3's longer fragment is not
+    recs[3]["realized"] = recs[2]["realized"] + [0]
+
+
+CORRUPTIONS = {
+    "bool-outcome": _set("outcome", True),
+    "float-t": _set("t", 3.0),
+    "float-mixture-weight": _float_weight,
+    "header-T": _header_t_down,
+    "header-rng": _header("rng", "mt19937"),
+    "header-mode": _config_mode,
+    "realized-missing": _drop_realized,
+    "header-not-object": _header_not_object,
+    "mixture-entry-three-elements": _three_element_entry,
+    "mixture-dict-weight": _dict_weight,
+    "realized-not-numeric": _set("realized", [["a", 1], 2]),
+    "realized-known-key-plus-element": _known_key_plus_element,
+}
+
+
+class TestCertifyStrict:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corruption_exits_2(self, tmp_path, capsys, name):
+        rewrite(sampled_run(tmp_path), CORRUPTIONS[name])
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_integer_too_long_to_decode_is_corrupt(self, tmp_path, capsys):
+        # json refuses integers over 4,300 digits with a plain ValueError
+        path = sampled_run(tmp_path)
+        lines = path.read_text().splitlines(True)
+        assert '"t": 3}' in lines[3]
+        lines[3] = lines[3].replace('"t": 3}', '"t": ' + "9" * 5000 + "}")
+        path.write_text("".join(lines))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_realized_outside_sampled_mode_is_corrupt(self, tmp_path):
+        cmd_run(write_config(tmp_path, BASE_CFG), seed=5, out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "transcript.jsonl"
+        rewrite(path, _set("realized", [[1, 1], 2], t=2))
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+
+    def test_clean_sampled_run_is_consistent(self, tmp_path):
+        sampled_run(tmp_path)
+        assert consistency_of(tmp_path / "run") == (0.0, 0)
+
+
+class TestCertifyBlockMemo:
+    """Within a block a recorded mixture repeats; none of these may be skipped."""
+
+    def test_mid_block_mixture_tamper(self, tmp_path):
+        rewrite(sampled_run(tmp_path), _set("mixture", [[POINT_MASS, [1, 1]]], t=6))
+        assert consistency_of(tmp_path / "run") == (1.0, 1)
+
+    def test_mid_block_realized_tamper(self, tmp_path):
+        rewrite(sampled_run(tmp_path), _set("realized", POINT_MASS, t=7))
+        assert consistency_of(tmp_path / "run") == (1.0, 1)
+
+    def test_two_blocks_tampered(self, tmp_path):
+        def edit(recs):
+            recs[3]["mixture"] = [[POINT_MASS, [1, 1]]]
+            recs[10]["realized"] = POINT_MASS
+        rewrite(sampled_run(tmp_path), edit)
+        assert consistency_of(tmp_path / "run") == (2.0, 1)
+
+    def test_mixture_carried_into_next_block(self, tmp_path):
+        # block 2 records block 1's mixture: equal to the previous day's, but
+        # the expected mixture changed at the block boundary
+        def edit(recs):
+            assert recs[9]["mixture"] != recs[8]["mixture"]
+            for rec in recs[9:13]:
+                rec["mixture"] = recs[8]["mixture"]
+        rewrite(sampled_run(tmp_path), edit)
+        assert consistency_of(tmp_path / "run") == (4.0, 1)
+
+    @staticmethod
+    def _reorder(mix):
+        return mix[::-1]
+
+    @staticmethod
+    def _split(mix):
+        (key, (num, den)), *rest = mix
+        return [[key, [num, 2 * den]], *rest, [key, [num, 2 * den]]]
+
+    @staticmethod
+    def _unreduced(mix):
+        return [[key, [2 * num, 2 * den]] for key, (num, den) in mix]
+
+    @pytest.mark.parametrize("form", ["_reorder", "_split", "_unreduced"])
+    def test_equivalent_mixture_forms_pass(self, tmp_path, form):
+        rewrite_mix = getattr(self, form)
+
+        def edit(recs):
+            # odd days only: the recorded form changes and changes back mid-block
+            for rec in recs[1::2]:
+                rec["mixture"] = rewrite_mix(rec["mixture"])
+            assert any(len(rec["mixture"]) > 1 for rec in recs[1:])
+        rewrite(sampled_run(tmp_path), edit)
+        assert consistency_of(tmp_path / "run") == (0.0, 0)
+
+    def test_canonicalisations_scale_with_blocks(self, tmp_path, monkeypatch):
+        S = 8
+        sampled_run(tmp_path, S=S)
+        calls = []
+        real = harness._canonical_key_of
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(harness, "_canonical_key_of", counting)
+        assert consistency_of(tmp_path / "run") == (0.0, 0)
+        cfg = ForecastConfig(d=3, L=2, H=2, S=S, m=2)
+        assert 0 < len(calls) <= 2 * cfg.L * cfg.H**cfg.L
+
+
 class TestCmdLowerbound:
     def test_truthful_beats_eps1(self):
         rep = cmd_lowerbound(R=2, K=2, forecaster="truthful", trials=100, seed=17)
