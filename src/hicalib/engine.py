@@ -5,7 +5,10 @@ Every level's prediction is frozen within leaf blocks of S consecutive days
 bookkeeping (predictions, canonical keys, calibration tallies) happens only
 at iteration boundaries, while the per-day work (outcome draws and, in
 sampled mode, the uniform sub-forecaster draw) is delegated to the
-`_kernel_py` day-simulation kernel, which handles any denominator.
+`_kernel_py` day-simulation kernel, which handles any denominator.  A
+constant-law block of S days is one kernel call, which draws its words in
+lane-packed batches when S reaches the kernel's scalar cut (`BATCH_MIN`);
+adversaries whose law changes daily call it one day at a time.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a

@@ -4,8 +4,9 @@ Configuration files are flat ``key = value`` lines (unknown keys are
 errors).  Transcripts are JSONL: a header record with the full
 configuration, then one record per day whose values are all exact integers
 or integer pairs, so identical (config, seed) reruns are byte-identical.
-Certification validates the header (format, ``rng``, ``T == S*H**L``, a
-known ``mode``), replays the raw outcome history, checks the recorded
+Certification validates the header (format, ``rng``, ``T == S*H**L``, and
+a config that reads back through the run-config schema to exactly the
+recorded object), replays the raw outcome history, checks the recorded
 mixtures and realized keys against the recomputed predictions, and then
 runs the full proof certificate on the rebuilt run.  Records are decoded
 strictly: any float, NaN or Infinity, a non-integer ``t`` or ``outcome``,
@@ -320,8 +321,37 @@ def _reject_number(text: str):
     raise CorruptRecord(f"non-integer number {text} in transcript")
 
 
-def _parse_header(line: str, decode) -> tuple[dict, ForecastConfig, bool]:
-    """Decode and validate the header; returns it, its config and whether it is sampled."""
+def _header_run_config(conf) -> RunConfig:
+    """The run config a header records; it must be one `cmd_run` writes.
+
+    The config is read back through `build_run_config`, the schema of run
+    config files, and must serialize to exactly the recorded object: unknown
+    keys, missing keys that have no default (such as `seed`), unknown
+    adversaries and values of the wrong type are corrupt.
+    """
+    if not isinstance(conf, dict):
+        raise CorruptRecord(f"header config is not an object: {conf!r}")
+    unknown = sorted(set(conf) - RUN_KEYS)
+    if unknown:
+        raise CorruptRecord(f"unknown keys in header config: {unknown}")
+    kv = {}
+    for key, value in conf.items():
+        if key == "iid_q" and isinstance(value, list) and value and isinstance(value[0], list):
+            value = ",".join(map(str, value[0]))
+        elif key == "record_adversary" and type(value) is bool:
+            value = "true" if value else "false"
+        kv[key] = str(value)
+    try:
+        rc = build_run_config(kv)
+    except HicalibError as exc:
+        raise CorruptRecord(f"bad config in header: {exc}") from None
+    if rc.config_dict() != conf:
+        raise CorruptRecord(f"header config {conf!r} is not one hicalib run writes")
+    return rc
+
+
+def _parse_header(line: str, decode) -> RunConfig:
+    """Decode and validate the header; returns the run config it records."""
     try:
         header = decode(line)
     except CorruptRecord as exc:
@@ -333,21 +363,10 @@ def _parse_header(line: str, decode) -> tuple[dict, ForecastConfig, bool]:
         raise CorruptRecord(f"unexpected transcript format {fmt!r}")
     if header.get("rng") != RNG_ID:
         raise CorruptRecord(f"header rng {header.get('rng')!r}, expected {RNG_ID!r}")
-    conf = header.get("config")
-    if not isinstance(conf, dict):
-        raise CorruptRecord(f"header config is not an object: {conf!r}")
-    try:
-        cfg = ForecastConfig(
-            d=conf["d"], L=conf["L"], H=conf["H"], S=conf["S"], m=conf["m"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorruptRecord(f"bad config in header: {exc}") from None
-    if header.get("T") != cfg.T:
-        raise CorruptRecord(f"header T {header.get('T')!r} != S*H**L = {cfg.T}")
-    mode = conf.get("mode")
-    if mode not in ("distributional", "sampled"):
-        raise CorruptRecord(f"header mode must be distributional or sampled, got {mode!r}")
-    return header, cfg, mode == "sampled"
+    rc = _header_run_config(header.get("config"))
+    if header.get("T") != rc.cfg.T:
+        raise CorruptRecord(f"header T {header.get('T')!r} != S*H**L = {rc.cfg.T}")
+    return rc
 
 
 def _canonical_key_of(obj) -> tuple:
@@ -398,7 +417,8 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     # the consistency pass relies on to skip unchanged mixtures.
     decode = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
     with open(transcript_path, encoding="utf-8") as fh:
-        header, cfg, sampled = _parse_header(fh.readline(), decode)
+        rc = _parse_header(fh.readline(), decode)
+        cfg, sampled = rc.cfg, rc.mode == "sampled"
         d = cfg.d
         outcomes = []
         for lineno, line in enumerate(fh, 2):
@@ -421,9 +441,7 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     if len(outcomes) != cfg.T:
         raise CorruptRecord(f"expected {cfg.T} day records, found {len(outcomes)}")
 
-    rebuilt = engine.run_from_outcomes(
-        cfg, outcomes, adversary_name=header["config"].get("adversary", "unknown")
-    )
+    rebuilt = engine.run_from_outcomes(cfg, outcomes, adversary_name=rc.adversary_kind)
 
     # Second streaming pass: recorded mixtures and realized keys must match
     # the predictions recomputed from the raw outcome history.  A mixture is
@@ -473,7 +491,7 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         margin=-float(mismatches),
         passed=mismatches == 0,
     )
-    base = certify_run(rebuilt, run_id=_header_run_id(header))
+    base = certify_run(rebuilt, run_id=rc.run_id)
     report = CertificateReport(
         run_id=base.run_id,
         passed=base.passed and consistency.passed,
@@ -484,11 +502,6 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         fh.write(report.to_json())
     _write_csv(os.path.join(run_dir, CERTIFICATE_CSV), report.csv_rows())
     return report, 0 if report.passed else 1
-
-
-def _header_run_id(header: dict) -> str:
-    blob = json.dumps(header.get("config", {}), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 # -- cmd_lowerbound ------------------------------------------------------------

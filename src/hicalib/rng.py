@@ -5,8 +5,11 @@ Draw number ``n`` (1-based) of a stream with key ``k`` is
 finalizer.  Streams are therefore stateless up to an integer counter, which
 makes them trivially reproducible and lets independent roles (outcome draws,
 sub-forecaster sampling, tau-tree draws) advance without perturbing each
-other.  The day-simulation kernel (`_kernel_py`) inlines `Stream.below` and
-consumes the same draws.
+other.  Because draw ``n`` depends on nothing but ``(k, n)``, the
+day-simulation kernel (`_kernel_py`) computes a block of consecutive draws
+at once, lane-packed in one big integer, or one by one with the finalizer
+inlined below a small block size; either way it makes exactly the draws
+`Stream.below` makes.
 
 Identifier recorded in transcript headers: ``splitmix64-ctr/1``.
 """
@@ -17,6 +20,9 @@ from dataclasses import dataclass
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64 finalizer multipliers.
+MIX_C1 = 0xBF58476D1CE4E5B9
+MIX_C2 = 0x94D049BB133111EB
 
 RNG_ID = "splitmix64-ctr/1"
 
@@ -29,8 +35,8 @@ ROLE_GENERIC = 4
 
 def mix64(z: int) -> int:
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * MIX_C1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX_C2) & MASK64
     return z ^ (z >> 31)
 
 

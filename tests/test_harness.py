@@ -278,6 +278,27 @@ def _config_mode(recs):
     recs[0]["config"]["mode"] = "samled"
 
 
+def _config_unknown_key(recs):
+    recs[0]["config"]["sed"] = recs[0]["config"]["seed"]
+
+
+def _config_no_seed(recs):
+    del recs[0]["config"]["seed"]
+
+
+def _config_adversary(recs):
+    recs[0]["config"]["adversary"] = "nonsense"
+
+
+def _config_iid_q_den(recs):
+    assert recs[0]["config"]["iid_q"] == [[1, 2, 3], 6]
+    recs[0]["config"]["iid_q"] = [[1, 2, 3], 7]
+
+
+def _config_seed_string(recs):
+    recs[0]["config"]["seed"] = str(recs[0]["config"]["seed"])
+
+
 def _header_t_down(recs):
     recs[0]["T"] -= 1
 
@@ -311,6 +332,11 @@ CORRUPTIONS = {
     "header-T": _header_t_down,
     "header-rng": _header("rng", "mt19937"),
     "header-mode": _config_mode,
+    "header-config-unknown-key": _config_unknown_key,
+    "header-config-no-seed": _config_no_seed,
+    "header-config-adversary": _config_adversary,
+    "header-config-iid-q-den": _config_iid_q_den,
+    "header-config-seed-string": _config_seed_string,
     "realized-missing": _drop_realized,
     "header-not-object": _header_not_object,
     "mixture-entry-three-elements": _three_element_entry,

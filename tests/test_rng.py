@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from hicalib import _kernel_py
+from hicalib._kernel_py import BATCH_MIN, CHUNK
 from hicalib.adversary import sample_outcome
 from hicalib.rng import GOLDEN, MASK64, Stream, draw_u64, mix64, stream_key
 from hicalib.simplex import make_rational_dist
@@ -75,31 +78,113 @@ KERNEL_DENS = [
 ]
 
 
-@pytest.mark.parametrize("den", KERNEL_DENS)
-def test_kernel_matches_stream_reference(den):
-    nums = [1, den // 3, den - 1 - den // 3]
+def _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
+    """sim_days' result by a `sample_outcome`/`Stream.below` loop, levels sampled."""
+    d, den = len(nums), sum(nums)
     dist = make_rational_dist(nums, den)
-    cums = [nums[0], nums[0] + nums[1], den]
-    n_days, n_levels = 300, 3
-    okey, octr, lkey, lctr = 11, 5, 22, 2
+    assert dist.denominator == den  # otherwise the two would draw below different n
     ostream, lstream = Stream(okey, octr), Stream(lkey, lctr)
     outcomes, levels = [], []
     for _ in range(n_days):
         outcomes.append(sample_outcome(dist, ostream).index)
         levels.append(lstream.below(n_levels))
-    counts = [outcomes.count(i) for i in (1, 2, 3)]
-    tally = [[0] * 3 for _ in range(n_levels)]
+    counts = [outcomes.count(i) for i in range(1, d + 1)]
+    tally = [[0] * d for _ in range(n_levels)]
     for x, v in zip(outcomes, levels):
         tally[v][x - 1] += 1
+    return ostream.counter, lstream.counter, counts, tally, outcomes, levels
 
-    got = _kernel_py.sim_days(
-        okey, octr, n_days, cums, den, 3, lkey, lctr, n_levels, True, True, True
-    )
-    assert got == (ostream.counter, lstream.counter, counts, tally, outcomes, levels)
+
+def _check_sim_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
+    want = _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels)
+    cums = [sum(nums[: i + 1]) for i in range(len(nums))]
+    args = (okey, octr, n_days, cums, sum(nums), len(nums), lkey, lctr, n_levels)
+    assert _kernel_py.sim_days(*args, True, True, True) == want
     # without level sampling the level stream is left untouched
-    assert _kernel_py.sim_days(
-        okey, octr, n_days, cums, den, 3, lkey, lctr, n_levels, False, True, False
-    ) == (ostream.counter, lctr, counts, None, outcomes, None)
+    octr_end, _, counts, _, outcomes, _ = want
+    assert _kernel_py.sim_days(*args, False, True, False) == (
+        octr_end, lctr, counts, None, outcomes, None
+    )
+    assert _kernel_py.sim_days(*args, False, False, False) == (
+        octr_end, lctr, counts, None, None, None
+    )
+    return want
+
+
+@pytest.mark.parametrize("den", KERNEL_DENS)
+def test_kernel_matches_stream_reference(den):
+    _check_sim_days(11, 5, 300, [1, den // 3, den - 1 - den // 3], 22, 2, 3)
+
+
+# Day counts on both sides of the scalar cut, one batch, and more than one
+# chunk of lanes.
+EDGE_DAYS = [0, 1, BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, 100, CHUNK, CHUNK + BATCH_MIN + 3]
+
+
+@pytest.mark.parametrize("n_days", EDGE_DAYS)
+def test_kernel_block_sizes_match_stream_reference(n_days):
+    _check_sim_days(11, 5, n_days, [1, 3, 6], 22, 2, 3)
+    s = Stream(4, 7)
+    seq = [s.below(5) for _ in range(n_days)]
+    counts = [seq.count(v) for v in range(5)]
+    assert _kernel_py.draw_level_counts(4, 7, n_days, 5, True) == (s.counter, counts, seq)
+
+
+@pytest.mark.parametrize("n_days", [1, BATCH_MIN + 1, 300])
+def test_kernel_counters_wrap_near_2_64(n_days):
+    # key + GOLDEN·ctr wraps mod 2**64 at once, and the counter itself runs
+    # past 2**64
+    _check_sim_days(MASK64, MASK64 - 2, n_days, [1, 2, 4], MASK64 - 1, MASK64, 3)
+
+
+@pytest.mark.parametrize("n_days", [1, BATCH_MIN + 1, 300])
+def test_kernel_single_level(n_days):
+    *_, levels = _check_sim_days(3, 0, n_days, [1, 4], 9, 0, 1)
+    assert levels == [0] * n_days
+
+
+@pytest.mark.parametrize("n_days", [1, 300])
+def test_kernel_many_outcomes(n_days):
+    # d = 288, as in the hard sequence: the outcome is found by bisection
+    nums = [1 + i % 7 for i in range(288)]
+    _, _, counts, *_ = _check_sim_days(8, 1, n_days, nums, 6, 4, 10)
+    assert sum(1 for c in counts if c) >= min(n_days, 100)
+
+
+def test_kernel_rejections_inside_and_at_end_of_a_chunk():
+    # About half the words fall below this denominator's threshold and are
+    # rejected.  Start where the first chunk's last lane is one of them.
+    den = (1 << 63) + 3
+    threshold = (1 << 64) % den
+    key = 31
+    octr = next(c for c in range(1000) if draw_u64(key, c + CHUNK) < threshold)
+    n_days = 2 * CHUNK + 5
+    rejected = [
+        i for i in range(1, CHUNK + 1) if draw_u64(key, octr + i) < threshold
+    ]
+    assert rejected[0] < CHUNK and rejected[-1] == CHUNK
+    ctr_end, *_ = _check_sim_days(key, octr, n_days, [1, den // 2, den - 1 - den // 2], 5, 0, 3)
+    assert ctr_end - octr > n_days + CHUNK // 4  # many rejections in all
+
+
+@pytest.mark.parametrize("key", [0, MASK64])
+@pytest.mark.parametrize("n", [1, 2, 7, BATCH_MIN, 100, CHUNK])
+def test_lane_words_match_draw_u64(key, n):
+    for ctr in (0, 12345, MASK64 - 3):
+        want = [draw_u64(key, ctr + i) for i in range(1, n + 1)]
+        assert _kernel_py._words(key, ctr, n) == want
+
+
+def test_lane_decode_byteswaps_on_big_endian_hosts():
+    assert _kernel_py._BIG_ENDIAN_HOST == (sys.byteorder == "big")
+    words = [draw_u64(9, i) for i in range(1, 6)]
+    high = b"\xff" * 8  # a lane's high half is never read
+    native = b"".join(w.to_bytes(8, sys.byteorder) + high for w in words)
+    assert _kernel_py._decode(native, swap=False) == words
+    # what a host of the other byte order reads from the same words
+    other = "little" if sys.byteorder == "big" else "big"
+    foreign = b"".join(w.to_bytes(8, other) + high for w in words)
+    assert _kernel_py._decode(foreign, swap=True) == words
 
 
 def test_kernel_level_draws_match_stream_reference():
