@@ -20,13 +20,23 @@ The aggregate RunResult carries everything the metrics and certificate
 modules need: per-leaf outcome counts, the key of every level iteration,
 and exact integer tallies for DCE/ECE; per-day outcomes are retained only
 for desk-scale horizons (or when a sink consumes them streaming).
+
+Sinks: at the start of every block, `on_block(mixture, level_keys)` receives
+the block's MixtureRecord (built once by `merge_mixture`, fixed for the S
+days) and the tuple of each level's prediction key, level 1 first;
+`on_day(t, outcome, level, law)` then sees each of the block's days.
+`run_from_outcomes` replays a recorded outcome history from any iterable,
+pulling S outcomes per block only after `on_block` has seen that block's
+mixture, so a caller can check a transcript line by line as the replay
+consumes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 from . import _kernel_py
 from .errors import ConfigInvalid
@@ -59,7 +69,6 @@ class RunResult:
     ece_tallies: dict[int, list[int]] | None
     outcomes: list[int] | None
     realized_levels: list[int] | None
-    adv_dists: list[RationalDist] | None
 
     @property
     def T(self) -> int:
@@ -73,13 +82,6 @@ class RunResult:
             for l in range(cfg.L)
         )
 
-    def block_entries(self, b: int) -> tuple[tuple[int, int], ...]:
-        """Merged (key id, multiplicity) mixture entries for block b, key-sorted."""
-        mults: dict[int, int] = {}
-        for kid in self.block_key_ids(b):
-            mults[kid] = mults.get(kid, 0) + 1
-        return tuple(sorted(mults.items(), key=lambda kv: self.keys[kv[0]]))
-
 
 def _drive(
     cfg: ForecastConfig,
@@ -87,11 +89,8 @@ def _drive(
     trial: int,
     mode: str,
     adversary=None,
-    replay_outcomes: list[int] | None = None,
-    replay_levels: list[int] | None = None,
-    adversary_name: str | None = None,
+    replay_outcomes: Iterable[int] | None = None,
     retain_outcomes: bool | None = None,
-    record_adv: bool = False,
     on_block: Callable | None = None,
     on_day: Callable | None = None,
 ) -> RunResult:
@@ -102,10 +101,8 @@ def _drive(
     T = cfg.T
     n_blocks = H**L
     replaying = replay_outcomes is not None
-    if replaying and len(replay_outcomes) != T:
-        raise ConfigInvalid(f"replay needs {T} outcomes, got {len(replay_outcomes)}")
-    if sampled and replaying and replay_levels is not None and len(replay_levels) != T:
-        raise ConfigInvalid("replay_levels length does not match T")
+    if replaying:
+        replay_outcomes = iter(replay_outcomes)
     if retain_outcomes is None:
         retain_outcomes = T <= RETAIN_LIMIT
     need_outcomes = retain_outcomes or on_day is not None
@@ -132,7 +129,6 @@ def _drive(
     leaf_counts: list[list[int]] = []
     outcomes_all: list[int] | None = [] if retain_outcomes else None
     levels_all: list[int] | None = [] if (sampled and retain_outcomes) else None
-    adv_dists: list[RationalDist] | None = [] if record_adv else None
 
     def intern(key: PredictionKey) -> int:
         kid = key_index.get(key)
@@ -172,23 +168,22 @@ def _drive(
         t_first = b * S + 1
         mix_rec: MixtureRecord | None = None
         if (adversary is not None and adversary.adaptive) or on_block is not None:
-            mix_rec = merge_mixture(t_first, (keys[k] for k in cur_kid), L)
-        if on_block is not None:
-            on_block(b, t_first, S, tuple(cur_kid), keys)
+            level_keys = tuple(keys[k] for k in cur_kid)
+            mix_rec = merge_mixture(t_first, level_keys, L)
+            if on_block is not None:
+                on_block(mix_rec, level_keys)
 
         # --- produce the block's outcomes -----------------------------------
         if replaying:
-            seg = replay_outcomes[b * S : (b + 1) * S]
+            # Pulled only now, after on_block has seen the block's mixture.
+            seg = list(islice(replay_outcomes, S))
+            if len(seg) != S:
+                raise ConfigInvalid(f"replay needs {T} outcomes, got {b * S + len(seg)}")
             counts = [0] * d
             for x in seg:
                 counts[x - 1] += 1
             tally = None
             lv_seg = None
-            if sampled and replay_levels is not None:
-                lv_seg = replay_levels[b * S : (b + 1) * S]
-                tally = [[0] * d for _ in range(L)]
-                for x, v in zip(seg, lv_seg):
-                    tally[v][x - 1] += 1
             out_seg = seg if need_outcomes else None
             dists: list[RationalDist] = []
         elif adversary.constant_within_block:
@@ -237,13 +232,6 @@ def _drive(
             outcomes_all.extend(out_seg)
         if levels_all is not None:
             levels_all.extend(lv_seg)
-        if adv_dists is not None:
-            if replaying:
-                adv_dists.extend([None] * S)
-            elif len(dists) == 1:
-                adv_dists.extend(dists * S)
-            else:
-                adv_dists.extend(dists)
         if on_day is not None:
             for j in range(S):
                 on_day(
@@ -253,6 +241,8 @@ def _drive(
                     dists[0] if len(dists) == 1 else (dists[j] if dists else None),
                 )
 
+    if replaying and next(replay_outcomes, None) is not None:
+        raise ConfigInvalid(f"replay needs {T} outcomes, got more")
     for li in range(L):
         flush_iteration(li)
 
@@ -261,8 +251,7 @@ def _drive(
         seed=seed,
         trial=trial,
         mode=mode,
-        adversary_name=adversary_name
-        or (adversary.name if adversary is not None else "replay"),
+        adversary_name=adversary.name if adversary is not None else "replay",
         keys=keys,
         level_iter_keys=level_iter_keys,
         leaf_counts=leaf_counts,
@@ -270,7 +259,6 @@ def _drive(
         ece_tallies=ece_tallies,
         outcomes=outcomes_all,
         realized_levels=levels_all,
-        adv_dists=adv_dists,
     )
 
 
@@ -312,7 +300,6 @@ def simulate(
     mode: str = "distributional",
     trial: int = 0,
     retain_outcomes: bool | None = None,
-    record_adv: bool = False,
     on_block: Callable | None = None,
     on_day: Callable | None = None,
 ) -> RunResult:
@@ -324,7 +311,6 @@ def simulate(
         mode,
         adversary=adversary,
         retain_outcomes=retain_outcomes,
-        record_adv=record_adv,
         on_block=on_block,
         on_day=on_day,
     )
@@ -332,29 +318,30 @@ def simulate(
 
 def run_from_outcomes(
     cfg: ForecastConfig,
-    outcomes: list[int],
-    realized_levels: list[int] | None = None,
-    adversary_name: str = "replay",
+    outcomes: Iterable[int],
+    on_block: Callable | None = None,
 ) -> RunResult:
-    """Rebuild the full run implied by a raw outcome history (no randomness)."""
-    mode = "sampled" if realized_levels is not None else "distributional"
+    """Rebuild the distributional run implied by a raw outcome history (no randomness).
+
+    `outcomes` may be any iterable, such as a generator decoding a transcript;
+    it is consumed S days at a time, block b's days only after `on_block` has
+    seen block b's mixture.  Fewer or more than T outcomes raise ConfigInvalid.
+    """
     return _drive(
         cfg,
         seed=0,
         trial=0,
-        mode=mode,
+        mode="distributional",
         replay_outcomes=outcomes,
-        replay_levels=realized_levels,
-        adversary_name=adversary_name,
+        on_block=on_block,
     )
 
 
-def _tally_abs_sum(keys, tallies: dict[int, list[int]], weight_den: int) -> float:
+def _tally_abs_sum(tallies: Iterable[tuple[PredictionKey, list[int]]], weight_den: int) -> float:
+    """Sum over keys, in key order, of |key * n_days - outcome counts| / weight_den."""
     total = 0.0
-    for kid in sorted(tallies, key=lambda k: keys[k]):
-        rec = tallies[kid]
+    for (nums, den), rec in sorted(tallies):
         n_days, vec = rec[0], rec[1:]
-        nums, den = keys[kid]
         for i, nu in enumerate(nums):
             total += float(abs(Fraction(nu * n_days - den * vec[i], den * weight_den)))
     return total
@@ -362,15 +349,21 @@ def _tally_abs_sum(keys, tallies: dict[int, list[int]], weight_den: int) -> floa
 
 def dce_value(run: RunResult) -> float:
     """Exact distributional calibration error; equals metrics.dce on the expansion."""
-    return _tally_abs_sum(run.keys, run.dce_tallies, run.cfg.L)
+    return _tally_abs_sum(
+        ((run.keys[kid], rec) for kid, rec in run.dce_tallies.items()), run.cfg.L
+    )
+
+
+def ece_of_tallies(tallies: dict[PredictionKey, list[int]]) -> float:
+    """Trajectory calibration error from per-key outcome counts of the realized keys."""
+    return _tally_abs_sum(((key, [sum(vec), *vec]) for key, vec in tallies.items()), 1)
 
 
 def ece_value(run: RunResult) -> float:
     """Trajectory calibration error of the sampled predictions."""
     if run.ece_tallies is None:
         raise ConfigInvalid("run was not simulated in sampled mode")
-    padded = {kid: [sum(vec)] + list(vec) for kid, vec in run.ece_tallies.items()}
-    return _tally_abs_sum(run.keys, padded, 1)
+    return ece_of_tallies({run.keys[kid]: vec for kid, vec in run.ece_tallies.items()})
 
 
 def expand_to_transcript(run: RunResult) -> Transcript:
@@ -388,10 +381,7 @@ def expand_to_transcript(run: RunResult) -> Transcript:
         if b != cached_b:
             cached_b = b
             kid_by_level = run.block_key_ids(b)
-            mix_entries = run.block_entries(b)
-            mix = tuple(
-                (run.keys[kid], Fraction(mult, cfg.L)) for kid, mult in mix_entries
-            )
+            mix = merge_mixture(t, (run.keys[kid] for kid in kid_by_level), cfg.L).entries
         realized = None
         if run.realized_levels is not None:
             realized = run.keys[kid_by_level[run.realized_levels[t - 1]]]
@@ -401,7 +391,6 @@ def expand_to_transcript(run: RunResult) -> Transcript:
                 mixture=MixtureRecord(t, mix),
                 outcome=Outcome(run.outcomes[t - 1]),
                 realized=realized,
-                adversary_dist=run.adv_dists[t - 1] if run.adv_dists else None,
             )
         )
     return Transcript(cfg.d, days, config=cfg)

@@ -6,19 +6,25 @@ configuration, then one record per day whose values are all exact integers
 or integer pairs, so identical (config, seed) reruns are byte-identical.
 Certification validates the header (format, ``rng``, ``T == S*H**L``, and
 a config that reads back through the run-config schema to exactly the
-recorded object), replays the raw outcome history, checks the recorded
-mixtures and realized keys against the recomputed predictions, and then
+recorded object), then reads the day records in one streaming pass that the
+engine's replay drives: each line is decoded once, its outcome feeds the
+replay, and its mixture and realized key are checked against the block's
+mixture the replay recomputed.  It then recomputes ``metrics.csv`` (DCE from
+the replay, ECE from the realized keys) and compares it byte for byte, and
 runs the full proof certificate on the rebuilt run.  Records are decoded
-strictly: any float, NaN or Infinity, a non-integer ``t`` or ``outcome``,
-or a ``realized`` field present outside sampled mode (or missing inside it)
-is a ``CorruptRecord``.  The recorded mixture is constant over each S-day
-block, so the consistency pass canonicalises a mixture only when it
-differs from the previous day's, and each distinct key once.
+strictly: bytes that are not UTF-8, any float, NaN or Infinity, a
+non-integer ``t`` or ``outcome``, a ``realized`` field present outside
+sampled mode (or missing inside it), or other than T day records is a
+``CorruptRecord``.  The recorded mixture is constant over each S-day block,
+so certify canonicalises a mixture only when it differs from the previous
+day's, and each distinct key once.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -91,21 +97,25 @@ def parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     """Flat key = value lines; '#' comment lines allowed; unknown keys rejected."""
     if not os.path.exists(path):
         raise ConfigInvalid(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in allowed:
-                raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise ConfigInvalid(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigInvalid(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in allowed:
+            raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigInvalid(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -256,18 +266,12 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         block_state = {"mix": "", "realized": []}
 
-        def on_block(b, t_first, n_days, kids, keys):
-            mults: dict[int, int] = {}
-            for kid in kids:
-                mults[kid] = mults.get(kid, 0) + 1
-            entries = sorted(mults.items(), key=lambda kv_: keys[kv_[0]])
-            ser = []
-            for kid, mult in entries:
-                w = Fraction(mult, rc.cfg.L)
-                key = keys[kid]
-                ser.append([[list(key.numerators), key.denominator], [w.numerator, w.denominator]])
-            block_state["mix"] = json.dumps(ser)
-            block_state["realized"] = [_key_json_frag(keys[kid]) for kid in kids]
+        def on_block(mixture, level_keys):
+            block_state["mix"] = json.dumps([
+                [[list(key.numerators), key.denominator], [w.numerator, w.denominator]]
+                for key, w in mixture.entries
+            ])
+            block_state["realized"] = [_key_json_frag(key) for key in level_keys]
 
         dist_frags: dict = {}
 
@@ -299,20 +303,28 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
 
     dce_val = engine.dce_value(run)
     ece_val = engine.ece_value(run) if sampled else None
+    _write_csv(metrics_path, _metrics_rows(rc, dce_val, ece_val))
+    return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
+
+
+def _metrics_rows(rc: RunConfig, dce_val: float, ece_val: float | None) -> list[list[str]]:
+    """The rows of a run's metrics.csv: the column names, then the one run."""
     row = metrics_csv_row(
         rc.run_id, rc.seed, rc.cfg, rc.adversary_kind, dce_val,
         ece_mean=ece_val, ece_stderr=None, trials=1,
     )
-    _write_csv(metrics_path, [METRICS_CSV_COLUMNS, [row[c] for c in METRICS_CSV_COLUMNS]])
-    return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
+    return [METRICS_CSV_COLUMNS, [row[c] for c in METRICS_CSV_COLUMNS]]
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _write_csv(path: str, rows) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+        fh.write(_csv_text(rows))
 
 
 # -- cmd_certify ---------------------------------------------------------------
@@ -414,74 +426,83 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     # Transcripts hold only integers.  Rejecting floats, NaN and Infinity also
     # makes ``==`` on decoded records match what canonicalising them would
     # conclude (``[1.0, 3] == [1, 3]`` would not be corrupt otherwise), which
-    # the consistency pass relies on to skip unchanged mixtures.
+    # the consistency check relies on to skip unchanged mixtures.
     decode = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
-    with open(transcript_path, encoding="utf-8") as fh:
-        rc = _parse_header(fh.readline(), decode)
-        cfg, sampled = rc.cfg, rc.mode == "sampled"
-        d = cfg.d
-        outcomes = []
-        for lineno, line in enumerate(fh, 2):
-            try:
-                rec = decode(line)
-                t, outcome = rec["t"], rec["outcome"]
-            except (CorruptRecord, ValueError, KeyError, TypeError) as exc:
-                raise CorruptRecord(f"line {lineno}: {exc}") from None
-            if type(t) is not int or t != lineno - 1:
-                raise CorruptRecord(f"line {lineno}: day {t!r} out of order")
-            if type(outcome) is not int or not 1 <= outcome <= d:
-                raise CorruptRecord(
-                    f"line {lineno}: outcome {outcome!r} not an integer in [1, {d}]"
-                )
-            if ("realized" in rec) is not sampled:
-                raise CorruptRecord(
-                    f"line {lineno}: 'realized' must be recorded exactly in sampled mode"
-                )
-            outcomes.append(outcome)
-    if len(outcomes) != cfg.T:
-        raise CorruptRecord(f"expected {cfg.T} day records, found {len(outcomes)}")
+    try:
+        with open(transcript_path, encoding="utf-8") as fh:
+            rc = _parse_header(fh.readline(), decode)
+            cfg, sampled = rc.cfg, rc.mode == "sampled"
+            d, T = cfg.d, cfg.T
+            # The replay hands each block's mixture to on_block before it
+            # pulls the block's days from `days()`, which checks every
+            # recorded mixture and realized key against it as it decodes the
+            # line.  A mixture is canonicalised only when it differs from the
+            # previous day's and compared with the expected one only when
+            # either side changes; each distinct key fragment, in a mixture or
+            # a realized field, is canonicalised once.  Strict decoding makes
+            # these shortcuts reach the same verdict as checking every day
+            # afresh.
+            expected: dict = {}
+            mismatches = 0
+            realized_tallies: dict = {}  # realized key -> outcome counts
 
-    rebuilt = engine.run_from_outcomes(cfg, outcomes, adversary_name=rc.adversary_kind)
+            def on_block(mixture, level_keys):
+                nonlocal expected
+                expected = dict(mixture.entries)
 
-    # Second streaming pass: recorded mixtures and realized keys must match
-    # the predictions recomputed from the raw outcome history.  A mixture is
-    # canonicalised only when it differs from the previous day's and compared
-    # with the block's expected mixture only when either side changes; each
-    # distinct key fragment, in a mixture or a realized field, is
-    # canonicalised once.  Strict decoding makes these shortcuts reach the
-    # same verdict as checking every day afresh.
-    mismatches = 0
-    S, L = cfg.S, cfg.L
-    with open(transcript_path, encoding="utf-8") as fh:
-        fh.readline()
-        prev_mix = object()  # equal to no decoded value
-        seen: dict = {}
-        expected: dict = {}
-        mix_ok = False
-        canonical: dict = {}  # hashable form of a canonical fragment -> its key
-        for t, line in enumerate(fh, 1):
-            rec = decode(line)
-            stale = False
-            if (t - 1) % S == 0:
-                expected = {
-                    rebuilt.keys[kid]: Fraction(mult, L)
-                    for kid, mult in rebuilt.block_entries((t - 1) // S)
-                }
-                stale = True
-            try:
-                mix = rec.get("mixture", [])
-                if mix != prev_mix:
-                    seen = _mixture_of(mix, canonical)
-                    prev_mix = mix
-                    stale = True
-                if stale:
-                    mix_ok = seen == expected
-                if not mix_ok:
-                    mismatches += 1
-                elif sampled and _memo_key(rec["realized"], canonical) not in expected:
-                    mismatches += 1
-            except CorruptRecord as exc:
-                raise CorruptRecord(f"line {t + 1}: {exc}") from None
+            def days():
+                nonlocal mismatches
+                prev_mix = object()  # equal to no decoded value
+                seen: dict = {}
+                checked = None  # the expected mixture mix_ok was computed against
+                mix_ok = False
+                canonical: dict = {}  # hashable form of a canonical fragment -> its key
+                t = 0
+                for t, line in enumerate(fh, 1):
+                    lineno = t + 1
+                    try:
+                        rec = decode(line)
+                        day, outcome = rec["t"], rec["outcome"]
+                    except (CorruptRecord, ValueError, KeyError, TypeError) as exc:
+                        raise CorruptRecord(f"line {lineno}: {exc}") from None
+                    if type(day) is not int or day != t:
+                        raise CorruptRecord(f"line {lineno}: day {day!r} out of order")
+                    if t > T:
+                        raise CorruptRecord(f"line {lineno}: more than T = {T} day records")
+                    if type(outcome) is not int or not 1 <= outcome <= d:
+                        raise CorruptRecord(
+                            f"line {lineno}: outcome {outcome!r} not an integer in [1, {d}]"
+                        )
+                    if ("realized" in rec) is not sampled:
+                        raise CorruptRecord(
+                            f"line {lineno}: 'realized' must be recorded exactly in sampled mode"
+                        )
+                    try:
+                        mix = rec.get("mixture", [])
+                        if mix != prev_mix:
+                            seen = _mixture_of(mix, canonical)
+                            prev_mix = mix
+                            checked = None
+                        if checked is not expected:
+                            mix_ok = seen == expected
+                            checked = expected
+                        if sampled:
+                            realized = _memo_key(rec["realized"], canonical)
+                            counts = realized_tallies.get(realized)
+                            if counts is None:
+                                counts = realized_tallies[realized] = [0] * d
+                            counts[outcome - 1] += 1
+                    except CorruptRecord as exc:
+                        raise CorruptRecord(f"line {lineno}: {exc}") from None
+                    if not mix_ok or (sampled and realized not in expected):
+                        mismatches += 1
+                    yield outcome
+                if t != T:
+                    raise CorruptRecord(f"expected {T} day records, found {t}")
+
+            rebuilt = engine.run_from_outcomes(cfg, days(), on_block=on_block)
+    except UnicodeDecodeError as exc:
+        raise CorruptRecord(f"transcript is not valid UTF-8 ({exc.reason})") from None
 
     consistency = CheckRow(
         name="transcript-consistency",
@@ -491,11 +512,30 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         margin=-float(mismatches),
         passed=mismatches == 0,
     )
+    recomputed = _metrics_rows(
+        rc,
+        engine.dce_value(rebuilt),
+        engine.ece_of_tallies(realized_tallies) if sampled else None,
+    )
+    try:
+        with open(os.path.join(run_dir, METRICS_NAME), "rb") as fh:
+            recorded = fh.read()
+    except OSError:
+        recorded = None
+    differs = float(recorded != _csv_text(recomputed).encode())
+    metrics_check = CheckRow(
+        name="metrics-consistency",
+        scope=f"{METRICS_NAME} vs metrics recomputed from the transcript",
+        measured=differs,
+        bound=0.0,
+        margin=-differs,
+        passed=not differs,
+    )
     base = certify_run(rebuilt, run_id=rc.run_id)
     report = CertificateReport(
         run_id=base.run_id,
-        passed=base.passed and consistency.passed,
-        checks=[consistency, *base.checks],
+        passed=base.passed and consistency.passed and metrics_check.passed,
+        checks=[consistency, metrics_check, *base.checks],
         chain=base.chain,
     )
     with open(os.path.join(run_dir, CERTIFICATE_JSON), "w", encoding="utf-8") as fh:

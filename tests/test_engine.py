@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from conftest import fixed_stream, random_dist
@@ -19,7 +17,7 @@ from hicalib.engine import (
     simulate,
 )
 from hicalib.errors import ConfigInvalid
-from hicalib.forecaster import ForecastConfig, HierarchicalForecaster
+from hicalib.forecaster import ForecastConfig, HierarchicalForecaster, merge_mixture
 from hicalib.metrics import dce, ece_trajectory, oracle_dce_direct
 from hicalib.rng import ROLE_OUTCOME, Stream, stream_key
 from hicalib.simplex import uniform
@@ -47,11 +45,8 @@ def test_engine_agrees_with_reference_forecaster(cfg):
         for t in range(1, cfg.T + 1):
             mix = fc.mixture()
             b = (t - 1) // cfg.S
-            eng = tuple(
-                (run.keys[kid], Fraction(mult, cfg.L))
-                for kid, mult in run.block_entries(b)
-            )
-            assert mix.entries == eng, f"t={t} adversary={adv.name}"
+            eng = merge_mixture(t, (run.keys[kid] for kid in run.block_key_ids(b)), cfg.L)
+            assert mix.entries == eng.entries, f"t={t} adversary={adv.name}"
             fc.observe(run.outcomes[t - 1], t)
 
 
@@ -70,12 +65,50 @@ def test_aggregates_match_transcript_metrics(cfg):
 def test_replay_reproduces_run(cfg):
     adv = IIDAdversary(uniform(cfg.d))
     run = simulate(cfg, adv, seed=7, mode="sampled")
-    replay = run_from_outcomes(cfg, run.outcomes, realized_levels=run.realized_levels)
+    replay = run_from_outcomes(cfg, run.outcomes)
     assert replay.keys == run.keys
     assert replay.level_iter_keys == run.level_iter_keys
     assert replay.leaf_counts == run.leaf_counts
     assert replay.dce_tallies == run.dce_tallies
-    assert replay.ece_tallies == run.ece_tallies
+
+
+def test_replay_from_generator_equals_replay_from_list():
+    cfg = ForecastConfig(d=3, L=2, H=3, S=2, m=2)
+    run = simulate(cfg, IIDAdversary(uniform(3)), seed=8)
+    from_list = run_from_outcomes(cfg, run.outcomes)
+    from_gen = run_from_outcomes(cfg, (x for x in run.outcomes))
+    assert from_gen == from_list
+
+
+@pytest.mark.parametrize("n", [0, 7, 9, 17])
+def test_replay_needs_exactly_T_outcomes(n):
+    cfg = ForecastConfig(d=2, L=2, H=2, S=2, m=1)  # T = 8
+    with pytest.raises(ConfigInvalid):
+        run_from_outcomes(cfg, [1] * n)
+    with pytest.raises(ConfigInvalid):
+        run_from_outcomes(cfg, (1 for _ in range(n)))
+
+
+def test_replay_shows_each_block_mixture_before_pulling_its_days():
+    cfg = ForecastConfig(d=2, L=2, H=2, S=3, m=1)
+    run = simulate(cfg, IIDAdversary(uniform(2)), seed=4)
+    events = []
+
+    def outcomes():
+        for t, x in enumerate(run.outcomes, 1):
+            events.append(("day", t))
+            yield x
+
+    def on_block(mixture, level_keys):
+        events.append(("block", mixture.t))
+        assert mixture == merge_mixture(mixture.t, level_keys, cfg.L)
+
+    run_from_outcomes(cfg, outcomes(), on_block=on_block)
+    expected = []
+    for b in range(cfg.H**cfg.L):
+        expected.append(("block", b * cfg.S + 1))
+        expected.extend(("day", b * cfg.S + j) for j in range(1, cfg.S + 1))
+    assert events == expected
 
 
 def test_simulation_is_deterministic():
@@ -121,9 +154,8 @@ def test_hard_adversary_integration():
     assert cfg.T == hcfg.T
     tree = sample_tau_tree(hcfg, fixed_stream(44))
     adv = HardSequenceAdversary(hcfg, tree=tree)
-    run = simulate(cfg, adv, seed=3, record_adv=True)
+    run = simulate(cfg, adv, seed=3)
     tr = expand_to_transcript(run)
-    assert [rec.adversary_dist for rec in tr.days] == [adv.next(1), adv.next(2)]
     assert dce(tr) == dce_value(run)
 
 

@@ -23,7 +23,7 @@ from hicalib.harness import (
     parse_config_file,
 )
 from hicalib.metrics import METRICS_CSV_COLUMNS
-from hicalib.rng import ROLE_OUTCOME, ROLE_TAU, derive_stream
+from hicalib.rng import ROLE_GENERIC, ROLE_OUTCOME, ROLE_TAU, derive_stream
 from hicalib.simplex import uniform
 
 
@@ -444,6 +444,153 @@ class TestCertifyBlockMemo:
         assert consistency_of(tmp_path / "run") == (0.0, 0)
         cfg = ForecastConfig(d=3, L=2, H=2, S=S, m=2)
         assert 0 < len(calls) <= 2 * cfg.L * cfg.H**cfg.L
+
+
+def _checks_of(run_dir):
+    report, code = cmd_certify(str(run_dir))
+    return {c.name: c.passed for c in report.checks}, [c.name for c in report.checks], code
+
+
+class TestCertifyMetrics:
+    RUN_CFGS = {
+        "iid-distributional": SAMPLED_CFG.replace("mode = sampled", "mode = distributional"),
+        "iid-sampled": SAMPLED_CFG,
+        "adaptive-sampled": SAMPLED_CFG.replace(
+            "adversary = iid\niid_q = 1,2,3\n", "adversary = adaptive_argmin\n"
+        ),
+        "hard-recorded-sampled": (
+            "d = 16\nL = 1\nH = 4\nS = 1\nm = 2\nmode = sampled\nadversary = hard\n"
+            "hard_R = 2\nhard_K = 4\nrecord_adversary = true\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUN_CFGS))
+    def test_clean_runs_reproduce_metrics_exactly(self, tmp_path, name):
+        for seed in (1, 2, 3):
+            run_dir = tmp_path / f"run{seed}"
+            cmd_run(write_config(tmp_path, self.RUN_CFGS[name]), seed=seed, out_dir=str(run_dir))
+            passed, names, code = _checks_of(run_dir)
+            assert code == 0 and passed["metrics-consistency"]
+            assert names[:2] == ["transcript-consistency", "metrics-consistency"]
+
+    @staticmethod
+    def _append_garbage(path):
+        path.write_text(path.read_text() + "garbage,line\n")
+
+    @staticmethod
+    def _alter_dce_digit(path):
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        dce_col = header.split(",").index("dce")
+        digit = next(i for i, ch in enumerate(cells[dce_col]) if ch in "123456789")
+        old = cells[dce_col]
+        cells[dce_col] = old[:digit] + str(int(old[digit]) % 9 + 1) + old[digit + 1:]
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+
+    @pytest.mark.parametrize("edit", ["_append_garbage", "_alter_dce_digit", "unlink"])
+    def test_tampered_or_missing_metrics_fail(self, tmp_path, capsys, edit):
+        sampled_run(tmp_path)
+        path = tmp_path / "run" / "metrics.csv"
+        if edit == "unlink":
+            path.unlink()
+        else:
+            getattr(self, edit)(path)
+        passed, _, code = _checks_of(tmp_path / "run")
+        assert code == 1
+        assert not passed["metrics-consistency"]
+        assert all(ok for name, ok in passed.items() if name != "metrics-consistency")
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 1
+        assert "FAIL metrics-consistency" in capsys.readouterr().out
+
+
+class TestCertifyEndOfInput:
+    @staticmethod
+    def _drop_last_line(text):
+        return "".join(text.splitlines(True)[:-1])
+
+    @staticmethod
+    def _extra_day(text):
+        last = json.loads(text.splitlines()[-1])
+        last["t"] += 1
+        return text + json.dumps(last, sort_keys=True) + "\n"
+
+    @staticmethod
+    def _trailing_blank_line(text):
+        return text + "\n"
+
+    @pytest.mark.parametrize("edit", ["_drop_last_line", "_extra_day", "_trailing_blank_line"])
+    def test_wrong_end_of_input_exits_2(self, tmp_path, capsys, edit):
+        path = sampled_run(tmp_path)
+        path.write_text(getattr(self, edit)(path.read_text()))
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        path = sampled_run(tmp_path)
+        decoded = []
+
+        class CountingDecoder(json.JSONDecoder):
+            def decode(self, s, *args, **kwargs):
+                decoded.append(s)
+                return super().decode(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "JSONDecoder", CountingDecoder)
+        _, code = cmd_certify(str(tmp_path / "run"))
+        assert code == 0
+        assert decoded == path.read_text().splitlines(True)
+
+
+class TestNonUtf8Bytes:
+    @pytest.mark.parametrize("line", [0, 3])
+    def test_bad_byte_in_transcript_is_corrupt(self, tmp_path, capsys, line):
+        path = sampled_run(tmp_path)
+        lines = path.read_bytes().splitlines(True)
+        lines[line] = lines[line][:5] + b"\xff" + lines[line][6:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_byte_in_config_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# caf\xe9\n" + BASE_CFG.encode())
+        with pytest.raises(ConfigInvalid):
+            parse_config_file(str(path), harness.RUN_KEYS)
+        run_args = ["run", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "o")]
+        assert cli.main(run_args) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_certify_survives_random_byte_mutations(tmp_path, capsys):
+    # Seeded offline fuzzer: 1-3 byte replacements, insertions or deletions
+    # of any byte value.  Every mutant must end in a verdict, never a
+    # traceback, and a mutant that passes must decode to the same records.
+    path = sampled_run(tmp_path)
+    clean = path.read_bytes()
+    records = [json.loads(line) for line in clean.splitlines()]
+    gen = derive_stream(2025, ROLE_GENERIC)
+    run_dir = str(tmp_path / "run")
+    codes = []
+    for _ in range(250):
+        data = bytearray(clean)
+        for _ in range(1 + gen.below(3)):
+            pos, byte, op = gen.below(len(data)), gen.below(256), gen.below(3)
+            if op == 0:
+                data[pos] = byte
+            elif op == 1:
+                data.insert(pos, byte)
+            else:
+                del data[pos]
+        path.write_bytes(bytes(data))
+        codes.append(cli.main(["certify", "--run", run_dir]))
+        capsys.readouterr()
+        if codes[-1] == 0:
+            assert [json.loads(line) for line in data.splitlines()] == records
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(2) > 0
 
 
 class TestCmdLowerbound:
