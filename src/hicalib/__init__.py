@@ -56,10 +56,8 @@ from .metrics import (
 )
 from .rng import RNG_ID, Stream, derive_stream
 from .simplex import (
-    Outcome,
     PredictionKey,
     RationalDist,
-    canonical_key,
     entropy,
     kl_divergence,
     l1_distance,

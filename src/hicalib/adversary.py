@@ -11,6 +11,9 @@ The adaptive adversary picks the outcome minimizing the forecaster's
 expected predicted mass for the current day; it sees the day's mixture
 (a deterministic function of past outcomes) but never the day's random
 draws.
+
+Every adversary's `next` returns the day's law as a canonical simplex point
+(`RationalDist`); `sample_outcome` draws a 1-based int outcome from it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from .errors import MissingTauEntry, ConfigInvalid, OutOfRange
 from .forecaster import MixtureRecord
 from .rng import ROLE_TAU, Stream, derive_stream
-from .simplex import Outcome, RationalDist, make_rational_dist, point_mass
+from .simplex import RationalDist, make_rational_dist, point_mass
 
 TauTree = dict[tuple[int, ...], int]
 
@@ -133,14 +136,14 @@ def day_distribution(tree: TauTree, t: int, cfg: HardSeqConfig) -> RationalDist:
     return make_rational_dist(units, cfg.d)
 
 
-def sample_outcome(p: RationalDist, stream: Stream) -> Outcome:
-    """Index i with probability p_i; exact via one uniform draw below the denominator."""
+def sample_outcome(p: RationalDist, stream: Stream) -> int:
+    """1-based index i with probability p_i; exact via one uniform draw below the denominator."""
     u = stream.below(p.denominator)
     acc = 0
     for i, n in enumerate(p.numerators):
         acc += n
         if u < acc:
-            return Outcome(i + 1)
+            return i + 1
     raise AssertionError("distribution does not sum to its denominator")
 
 

@@ -358,7 +358,7 @@ def check_recomputation(run: RunResult, view: RunView | None = None) -> CheckRow
             zs = view.preds[level - 1][v]
             for h in range(1, cfg.H + 1):
                 cells += 1
-                if run.keys[recorded[v * cfg.H + h - 1]] != zs[h - 1].key:
+                if run.keys[recorded[v * cfg.H + h - 1]] != zs[h - 1]:
                     mismatches += 1
     return CheckRow(
         name="recomputation-identity",

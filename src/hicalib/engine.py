@@ -34,7 +34,6 @@ consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable
 
@@ -48,7 +47,7 @@ from .forecaster import (
 )
 from .metrics import DayRecord, Transcript
 from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
-from .simplex import Outcome, PredictionKey, RationalDist
+from .simplex import PredictionKey, RationalDist
 
 RETAIN_LIMIT = 1 << 20
 
@@ -160,7 +159,7 @@ def _drive(
                 pred = smoothed_prediction(
                     [totals[i] - snap[i] for i in range(d)], h[li], t_level[li], d, m
                 )
-                kid = intern(pred.key)
+                kid = intern(pred)
                 cur_kid[li] = kid
                 level_iter_keys[li].append(kid)
                 snap_iter[li] = totals.copy()
@@ -343,7 +342,7 @@ def _tally_abs_sum(tallies: Iterable[tuple[PredictionKey, list[int]]], weight_de
     for (nums, den), rec in sorted(tallies):
         n_days, vec = rec[0], rec[1:]
         for i, nu in enumerate(nums):
-            total += float(abs(Fraction(nu * n_days - den * vec[i], den * weight_den)))
+            total += abs(nu * n_days - den * vec[i]) / (den * weight_den)
     return total
 
 
@@ -389,7 +388,7 @@ def expand_to_transcript(run: RunResult) -> Transcript:
             DayRecord(
                 t=t,
                 mixture=MixtureRecord(t, mix),
-                outcome=Outcome(run.outcomes[t - 1]),
+                outcome=run.outcomes[t - 1],
                 realized=realized,
             )
         )

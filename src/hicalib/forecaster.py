@@ -35,12 +35,7 @@ from .errors import (
     OutOfRange,
 )
 from .rng import Stream
-from .simplex import (
-    Outcome,
-    PredictionKey,
-    RationalDist,
-    make_rational_dist,
-)
+from .simplex import PredictionKey, RationalDist, make_rational_dist
 
 DEFAULT_DAY_BUDGET = 2**26
 
@@ -196,23 +191,22 @@ class HierarchicalForecaster:
     def mixture(self) -> MixtureRecord:
         """The prediction distribution q_t for the upcoming day."""
         return merge_mixture(
-            self._day, (st.prediction.key for st in self.states), self.cfg.L
+            self._day, (st.prediction for st in self.states), self.cfg.L
         )
 
-    def observe(self, outcome: Outcome | int, t: int | None = None) -> None:
+    def observe(self, outcome: int, t: int | None = None) -> None:
         """Consume day t's outcome; rolls iteration/interval boundaries after t."""
         cfg = self.cfg
         if self._day > cfg.T:
             raise OutOfRange(f"horizon T = {cfg.T} already consumed")
         if t is not None and t != self._day:
             raise OutOfOrderDay(f"expected day {self._day}, got {t}")
-        x = outcome.index if isinstance(outcome, Outcome) else int(outcome)
-        if not 1 <= x <= cfg.d:
-            raise OutOfRange(f"outcome {x} outside [1, {cfg.d}]")
+        if not 1 <= outcome <= cfg.d:
+            raise OutOfRange(f"outcome {outcome} outside [1, {cfg.d}]")
         day = self._day
         self._day += 1
         for st in self.states:
-            st.pending[x - 1] += 1
+            st.pending[outcome - 1] += 1
             t_level = cfg.period(st.level)
             if day % t_level == 0:  # level's iteration ends after this day
                 if day % cfg.period(st.level - 1) == 0:  # enclosing interval ends

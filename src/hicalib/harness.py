@@ -70,7 +70,6 @@ from .metrics import (
 )
 from .rng import RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Stream, derive_stream, stream_key
 from .simplex import (
-    Outcome,
     RationalDist,
     dist_from_json,
     make_rational_dist,
@@ -95,11 +94,11 @@ CONCENTRATION_KEYS = {"d", "L", "H", "m", "adversary", "iid_q", "S_low", "S_high
 
 def parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     """Flat key = value lines; '#' comment lines allowed; unknown keys rejected."""
-    if not os.path.exists(path):
-        raise ConfigInvalid(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigInvalid(f"config file not readable: {path} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}
@@ -237,10 +236,6 @@ class RunOutput:
     ece: float | None
 
 
-def _key_json_frag(key) -> str:
-    return json.dumps([list(key.numerators), key.denominator])
-
-
 def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False) -> RunOutput:
     """Simulate one run and persist transcript JSONL plus a metrics CSV row."""
     kv = parse_config_file(config_path, RUN_KEYS)
@@ -250,10 +245,14 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
             f"T = {rc.cfg.T} exceeds the default day budget {DEFAULT_DAY_BUDGET}; "
             "pass --allow-large to opt in"
         )
-    os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     adversary = make_adversary(rc)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        fh = open(transcript_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {transcript_path} ({exc.strerror})") from None
 
     header = {
         "T": rc.cfg.T,
@@ -262,27 +261,27 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
         "rng": RNG_ID,
     }
     sampled = rc.mode == "sampled"
-    with open(transcript_path, "w", encoding="utf-8") as fh:
+    with fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         block_state = {"mix": "", "realized": []}
 
         def on_block(mixture, level_keys):
             block_state["mix"] = json.dumps([
-                [[list(key.numerators), key.denominator], [w.numerator, w.denominator]]
+                [key.to_json(), [w.numerator, w.denominator]]
                 for key, w in mixture.entries
             ])
-            block_state["realized"] = [_key_json_frag(key) for key in level_keys]
+            block_state["realized"] = [json.dumps(key.to_json()) for key in level_keys]
 
         dist_frags: dict = {}
 
         def on_day(t, outcome, level, dist):
             parts = []
             if rc.record_adversary and dist is not None:
-                frag = dist_frags.get(dist.key)
+                frag = dist_frags.get(dist)
                 if frag is None:
                     if len(dist_frags) > 64:
                         dist_frags.clear()
-                    frag = dist_frags[dist.key] = json.dumps(dist.to_json())
+                    frag = dist_frags[dist] = json.dumps(dist.to_json())
                 parts.append(f'"adv_dist": {frag}')
             parts.append(f'"mixture": {block_state["mix"]}')
             parts.append(f'"outcome": {outcome}')
@@ -381,17 +380,17 @@ def _parse_header(line: str, decode) -> RunConfig:
     return rc
 
 
-def _canonical_key_of(obj) -> tuple:
+def _canonical_key_of(obj) -> RationalDist:
     try:
         dist = dist_from_json(obj)
     except (HicalibError, TypeError, ValueError) as exc:
         raise CorruptRecord(f"bad distribution in transcript: {exc}") from None
     if dist.to_json() != [list(obj[0]), obj[1]]:
         raise CorruptRecord(f"non-canonical distribution in transcript: {obj!r}")
-    return dist.key
+    return dist
 
 
-def _memo_key(obj, memo: dict) -> tuple:
+def _memo_key(obj, memo: dict) -> RationalDist:
     """Canonical key of a serialized distribution, canonicalising each distinct one once."""
     try:
         nums, den = obj
@@ -421,15 +420,17 @@ def _mixture_of(mix, memo: dict) -> dict:
 def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     """Replay, cross-check, and certify a persisted run; exit 0 iff all checks pass."""
     transcript_path = os.path.join(run_dir, TRANSCRIPT_NAME)
-    if not os.path.exists(transcript_path):
-        raise MissingTranscript(f"no {TRANSCRIPT_NAME} in {run_dir}")
+    try:
+        fh = open(transcript_path, encoding="utf-8")
+    except OSError as exc:
+        raise MissingTranscript(f"no readable {TRANSCRIPT_NAME} in {run_dir} ({exc.strerror})") from None
     # Transcripts hold only integers.  Rejecting floats, NaN and Infinity also
     # makes ``==`` on decoded records match what canonicalising them would
     # conclude (``[1.0, 3] == [1, 3]`` would not be corrupt otherwise), which
     # the consistency check relies on to skip unchanged mixtures.
     decode = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
     try:
-        with open(transcript_path, encoding="utf-8") as fh:
+        with fh:
             rc = _parse_header(fh.readline(), decode)
             cfg, sampled = rc.cfg, rc.mode == "sampled"
             d, T = cfg.d, cfg.T
@@ -594,11 +595,11 @@ def cmd_lowerbound(
             continue
         ostream = derive_stream(seed, ROLE_OUTCOME, trial)
         days = []
-        uniform_key = uniform(hcfg.d).key
+        uniform_key = uniform(hcfg.d)
         for t in range(1, hcfg.T + 1):
             p_t = day_distribution(tree, t, hcfg)
             x_t = sample_outcome(p_t, ostream)
-            key = p_t.key if forecaster == "truthful" else uniform_key
+            key = p_t if forecaster == "truthful" else uniform_key
             mix = MixtureRecord(t, ((key, Fraction(1)),))
             days.append(DayRecord(t=t, mixture=mix, outcome=x_t, adversary_dist=p_t))
         values.append(dce(Transcript(hcfg.d, days)))
@@ -634,7 +635,7 @@ def random_transcript(stream: Stream, max_T: int, max_d: int, max_keys_per_day: 
         units = [stream.below(9) for _ in range(d)]
         if not any(units):
             units[stream.below(d)] = 1
-        key = make_rational_dist(units, sum(units)).key
+        key = make_rational_dist(units, sum(units))
         if key not in pool:
             pool.append(key)
     days = []
@@ -653,7 +654,7 @@ def random_transcript(stream: Stream, max_T: int, max_d: int, max_keys_per_day: 
             DayRecord(
                 t=t,
                 mixture=MixtureRecord(t, entries),
-                outcome=Outcome(1 + stream.below(d)),
+                outcome=1 + stream.below(d),
             )
         )
     return Transcript(d, days)

@@ -3,9 +3,9 @@
 DCE sums, over distinct prediction values p, the l1 norm of the
 mixture-weighted residual sum_t (p - X_t) mu_t(p); ECE does the same with
 the realized (sampled) predictions in place of the mixture.  Grouping is by
-canonical rational key, never by float proximity, and the inner residual
-sums accumulate as exact rationals; each |.| term is converted to float
-exactly once.  A deliberately naive oracle recomputation of DCE is provided
+the exact simplex point (a point is its own key), never by float proximity,
+and the inner residual sums accumulate as exact rationals; each |.| term is
+converted to float exactly once.  A day's outcome is a 1-based int.  A deliberately naive oracle recomputation of DCE is provided
 for randomized cross-checks, together with exhaustive ECE enumeration for
 hand-sized mixtures.
 """
@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import MissingMixture, MissingRealizedPrediction
 from .forecaster import ForecastConfig, MixtureRecord
-from .simplex import Outcome, PredictionKey, RationalDist
+from .simplex import PredictionKey, RationalDist
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class DayRecord:
 
     t: int
     mixture: MixtureRecord | None
-    outcome: Outcome
+    outcome: int
     realized: PredictionKey | None = None
     adversary_dist: RationalDist | None = None
 
@@ -50,8 +50,8 @@ class Transcript:
         for i, rec in enumerate(self.days):
             if rec.t != i + 1:
                 raise ValueError(f"days not contiguous at position {i}: t={rec.t}")
-            if not 1 <= rec.outcome.index <= self.d:
-                raise ValueError(f"outcome {rec.outcome.index} outside [1, {self.d}]")
+            if not 1 <= rec.outcome <= self.d:
+                raise ValueError(f"outcome {rec.outcome} outside [1, {self.d}]")
             if rec.mixture is not None:
                 total = sum(w for _, w in rec.mixture.entries)
                 if total != 1:
@@ -82,7 +82,7 @@ def dce(tr: Transcript) -> float:
     for rec in tr.days:
         if rec.mixture is None or not rec.mixture.entries:
             raise MissingMixture(f"day {rec.t} has no mixture")
-        x = rec.outcome.index - 1
+        x = rec.outcome - 1
         for key, w in rec.mixture.entries:
             vec = acc.get(key)
             if vec is None:
@@ -100,7 +100,7 @@ def ece_trajectory(tr: Transcript) -> float:
     for rec in tr.days:
         if rec.realized is None:
             raise MissingRealizedPrediction(f"day {rec.t} has no realized prediction")
-        x = rec.outcome.index - 1
+        x = rec.outcome - 1
         key = rec.realized
         vec = acc.get(key)
         if vec is None:
@@ -124,7 +124,7 @@ def dce_restricted(tr: Transcript, spec: RestrictionSpec) -> float:
             continue
         if rec.mixture is None:
             raise MissingMixture(f"day {rec.t} has no mixture")
-        x = rec.outcome.index
+        x = rec.outcome
         for key, w in rec.mixture.entries:
             if key not in acc:
                 continue
@@ -162,7 +162,7 @@ def oracle_dce_direct(tr: Transcript) -> float:
                     w += w2
             if w == 0:
                 continue
-            x = rec.outcome.index - 1
+            x = rec.outcome - 1
             for i in range(tr.d):
                 p_i = Fraction(key.numerators[i], key.denominator)
                 vec[i] += w * (p_i - (1 if i == x else 0))

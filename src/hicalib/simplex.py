@@ -2,9 +2,12 @@
 
 Distributions are vectors of nonnegative integer numerators over a shared
 positive denominator, kept in canonical (gcd-reduced) form so that equal
-points of the simplex compare, hash, and serialize identically.  Exactness
-matters because calibration errors group days by *equal* predictions: a
-float-keyed grouping would silently split identical predictions.
+points of the simplex compare, hash, and serialize identically.  A point is
+its own key: `PredictionKey` (alias `RationalDist`) is the one point type,
+a (numerators, denominator) named tuple, and `make_rational_dist` is its one
+validating constructor.  Exactness matters because calibration errors group
+days by *equal* predictions: a float-keyed grouping would silently split
+identical predictions.  Outcomes are plain 1-based ints.
 
 Information functionals (entropy, KL, l1 distance) return floats computed
 from the exact representation; the convention 0*ln(0) = 0 applies
@@ -14,7 +17,6 @@ throughout.  Numerators and denominators are arbitrary-precision ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -27,15 +29,11 @@ from .errors import (
 
 
 class PredictionKey(NamedTuple):
-    """Canonical (numerators, denominator) pair; equal simplex points share a key."""
+    """A point of the simplex in canonical form; build via make_rational_dist.
 
-    numerators: tuple[int, ...]
-    denominator: int
-
-
-@dataclass(frozen=True)
-class RationalDist:
-    """A point of the simplex in canonical form; build via make_rational_dist."""
+    The point is its own key: equal points are equal, hash equal and sort
+    equal as (numerators, denominator) tuples.
+    """
 
     numerators: tuple[int, ...]
     denominator: int
@@ -48,46 +46,31 @@ class RationalDist:
         """Mass at 0-based coordinate i."""
         return Fraction(self.numerators[i], self.denominator)
 
-    @property
-    def key(self) -> PredictionKey:
-        return PredictionKey(self.numerators, self.denominator)
-
     def to_json(self) -> list:
         """JSON array form [[n_1,...,n_d], den], used in transcript files."""
         return [list(self.numerators), self.denominator]
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """Realized outcome: 1-based index into [d]; one-hot as a vector."""
-
-    index: int
-
-    def one_hot(self, d: int) -> RationalDist:
-        return point_mass(d, self.index)
+RationalDist = PredictionKey
 
 
 def make_rational_dist(numerators: Sequence[int], denominator: int) -> RationalDist:
     """Validate and gcd-reduce a numerator vector over a common denominator."""
     if denominator <= 0:
         raise ZeroDenominator(f"denominator must be positive, got {denominator}")
-    nums = tuple(int(n) for n in numerators)
+    nums = tuple(map(int, numerators))
     if len(nums) < 2:
         raise DimensionMismatch(f"need d >= 2 coordinates, got {len(nums)}")
-    if any(n < 0 for n in nums):
+    if min(nums) < 0:
         raise SumMismatch(f"negative numerator in {nums}")
     total = sum(nums)
     if total != denominator:
         raise SumMismatch(f"numerators sum to {total}, denominator is {denominator}")
-    g = denominator
-    for n in nums:
-        g = math.gcd(g, n)
-        if g == 1:
-            break
+    g = math.gcd(denominator, *nums)
     if g > 1:
         nums = tuple(n // g for n in nums)
         denominator //= g
-    return RationalDist(nums, denominator)
+    return PredictionKey(nums, denominator)
 
 
 def uniform(d: int) -> RationalDist:
@@ -146,11 +129,6 @@ def kl_divergence(x: RationalDist, p: RationalDist) -> float:
             )
         s += nx * math.log(Fraction(nx * dp, dx * np))
     return max(s / dx, 0.0)
-
-
-def canonical_key(a: RationalDist) -> PredictionKey:
-    """Keys are equal iff the simplex points are equal."""
-    return a.key
 
 
 def dist_from_json(obj) -> RationalDist:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import fixed_stream, random_dist
@@ -10,6 +12,7 @@ from hicalib.adversary import (
     sample_tau_tree,
 )
 from hicalib.engine import (
+    _tally_abs_sum,
     dce_value,
     ece_value,
     expand_to_transcript,
@@ -20,7 +23,7 @@ from hicalib.errors import ConfigInvalid
 from hicalib.forecaster import ForecastConfig, HierarchicalForecaster, merge_mixture
 from hicalib.metrics import dce, ece_trajectory, oracle_dce_direct
 from hicalib.rng import ROLE_OUTCOME, Stream, stream_key
-from hicalib.simplex import uniform
+from hicalib.simplex import make_rational_dist, uniform
 
 SMALL_CONFIGS = [
     ForecastConfig(d=2, L=1, H=2, S=1, m=1),
@@ -181,11 +184,40 @@ def test_dimension_mismatch_between_adversary_and_forecaster():
 def test_big_denominator_falls_back_to_exact_path():
     # a denominator wider than one 64-bit word still draws exactly like Stream.below
     big = 1 << 70
-    from hicalib.simplex import make_rational_dist
-
     q = make_rational_dist([big // 2 + 1, big // 2 - 1], big)
     cfg = ForecastConfig(d=2, L=1, H=2, S=2, m=1)
     run = simulate(cfg, IIDAdversary(q), seed=5)
     assert sum(sum(c) for c in run.leaf_counts) == cfg.T
     ostream = Stream(stream_key(5, ROLE_OUTCOME, 0))
-    assert run.outcomes == [sample_outcome(q, ostream).index for _ in range(cfg.T)]
+    assert run.outcomes == [sample_outcome(q, ostream) for _ in range(cfg.T)]
+
+
+def test_tally_division_is_bit_identical_to_fraction():
+    # |a| / b on ints is correctly rounded, as Fraction.__float__ is, so the
+    # tallies give the float the exact rational gives, bit for bit.
+    gen = fixed_stream(77)
+    cases = []
+    for _ in range(2000):
+        cases.append((gen.below(1 << 301) - (1 << 300), 1 + gen.below(1 << 200)))
+    for _ in range(500):
+        # (2n+1) / 2 * 2^(j-k), n of 53 bits, lies exactly halfway between two
+        # adjacent doubles; c makes the pair unreduced.
+        n = (1 << 52) | gen.below(1 << 52)
+        j, k, c = gen.below(300), gen.below(300), 1 + gen.below(1 << 100)
+        a = ((2 * n + 1) * c) << j
+        cases.append((a if gen.below(2) else -a, (c << (k + 1))))
+    for a, b in cases:
+        want = float(abs(Fraction(a, b)))
+        assert abs(a) / b == want
+        assert _tally_abs_sum([(((a,), 1), [1, 0])], b) == want
+
+
+@pytest.mark.parametrize("m", [1, 3, (1 << 65) + 1])
+def test_tallies_match_metrics_under_a_2_70_denominator_law(m):
+    big = 1 << 70
+    q = make_rational_dist([big // 3, big - big // 3 - 5, 5], big)
+    cfg = ForecastConfig(d=3, L=2, H=2, S=3, m=m)
+    run = simulate(cfg, IIDAdversary(q), seed=9, mode="sampled")
+    tr = expand_to_transcript(run)
+    assert dce(tr) == dce_value(run)
+    assert ece_trajectory(tr) == ece_value(run)

@@ -148,7 +148,7 @@ class TestMixture:
     def test_day_one_single_uniform_entry(self):
         fc = HierarchicalForecaster(ForecastConfig(d=3, L=3, H=2, S=1, m=2))
         mix = fc.mixture()
-        assert mix.entries == ((uniform(3).key, Fraction(1)),)
+        assert mix.entries == ((uniform(3), Fraction(1)),)
 
     def test_two_distinct_levels(self):
         cfg = ForecastConfig(d=2, L=2, H=2, S=1, m=1)
@@ -167,10 +167,10 @@ class TestMixture:
         for t, x in [(1, 1), (2, 2)]:
             fc.observe(x, t)
         mix = fc.mixture()  # t=3
-        assert mix.entries == ((uniform(2).key, Fraction(1)),)
+        assert mix.entries == ((uniform(2), Fraction(1)),)
 
     def test_weights_sum_to_one(self):
-        mix = merge_mixture(1, [uniform(2).key, uniform(2).key, point_mass_key()], 3)
+        mix = merge_mixture(1, [uniform(2), uniform(2), point_mass_key()], 3)
         assert sum(w for _, w in mix.entries) == 1
 
     def test_smoothness_per_step_bound(self):
@@ -193,7 +193,7 @@ class TestMixture:
 def point_mass_key():
     from hicalib.simplex import point_mass
 
-    return point_mass(2, 1).key
+    return point_mass(2, 1)
 
 
 class TestPrefixKeyCoincidence:
@@ -239,14 +239,14 @@ class TestRecomputationIdentity:
 
 class TestSamplePrediction:
     def test_single_entry(self):
-        mix = merge_mixture(1, [uniform(2).key] * 3, 3)
-        assert sample_prediction(mix, fixed_stream(1)) == uniform(2).key
+        mix = merge_mixture(1, [uniform(2)] * 3, 3)
+        assert sample_prediction(mix, fixed_stream(1)) == uniform(2)
 
     def test_uniform_frequencies(self):
         keys = [
-            make_rational_dist([1, 0], 1).key,
-            make_rational_dist([0, 1], 1).key,
-            make_rational_dist([1, 1], 2).key,
+            make_rational_dist([1, 0], 1),
+            make_rational_dist([0, 1], 1),
+            make_rational_dist([1, 1], 2),
         ]
         mix = merge_mixture(1, keys, 3)
         stream = fixed_stream(2)
@@ -260,7 +260,7 @@ class TestSamplePrediction:
             assert abs(counts[k] - n * p) <= 3 * sigma
 
     def test_seed_determinism(self):
-        keys = [make_rational_dist([1, 0], 1).key, make_rational_dist([0, 1], 1).key]
+        keys = [make_rational_dist([1, 0], 1), make_rational_dist([0, 1], 1)]
         mix = merge_mixture(1, keys, 2)
         a = [sample_prediction(mix, fixed_stream(3)) for _ in range(1)]
         s1, s2 = fixed_stream(9), fixed_stream(9)

@@ -612,7 +612,7 @@ class TestCmdLowerbound:
             counts = [0] * hcfg.d
             for t in range(1, hcfg.T + 1):
                 x = sample_outcome(day_distribution(tree, t, hcfg), ostream)
-                counts[x.index - 1] += 1
+                counts[x - 1] += 1
             values.append(
                 float(sum(abs(Fraction(hcfg.T, hcfg.d) - c) for c in counts))
             )
@@ -727,3 +727,29 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--seed", "1"])  # missing --config/--out
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("case", ["certify-dir-transcript", "run-dir-config",
+                                      "concentration-dir-config", "run-out-is-file",
+                                      "run-out-dir-transcript"])
+    def test_path_shaped_input_exits_2(self, tmp_path, capsys, case):
+        # A directory where a file should be, or a file where the run
+        # directory should be, ends in a HicalibError, not a traceback.
+        cfg_path = write_config(tmp_path, BASE_CFG)
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        (tmp_path / "run" / "transcript.jsonl").mkdir(parents=True)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = {
+            "certify-dir-transcript": ["certify", "--run", str(tmp_path / "run")],
+            "run-dir-config": ["run", "--config", str(a_dir), "--seed", "1",
+                               "--out", str(tmp_path / "o")],
+            "concentration-dir-config": ["concentration", "--config", str(a_dir),
+                                         "--trials", "2", "--seed", "1"],
+            "run-out-is-file": ["run", "--config", cfg_path, "--seed", "1",
+                                "--out", str(a_file)],
+            "run-out-dir-transcript": ["run", "--config", cfg_path, "--seed", "1",
+                                       "--out", str(tmp_path / "run")],
+        }[case]
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from hicalib.metrics import (
     exhaustive_ece,
     oracle_dce_direct,
 )
-from hicalib.simplex import Outcome, point_mass, uniform
+from hicalib.simplex import point_mass, uniform
 
 HALF = uniform(2)
 E1 = point_mass(2, 1)
@@ -26,35 +26,35 @@ E2 = point_mass(2, 2)
 
 def day(t, entries, outcome, realized=None):
     mix = MixtureRecord(t, tuple((k, Fraction(w)) for k, w in entries))
-    return DayRecord(t=t, mixture=mix, outcome=Outcome(outcome), realized=realized)
+    return DayRecord(t=t, mixture=mix, outcome=outcome, realized=realized)
 
 
 class TestDce:
     def test_perfect_point_prediction(self):
-        tr = Transcript(2, [day(1, [(E1.key, 1)], 1)])
+        tr = Transcript(2, [day(1, [(E1, 1)], 1)])
         assert dce(tr) == 0.0
 
     def test_balanced_uniform(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1), day(2, [(HALF.key, 1)], 2)])
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1), day(2, [(HALF, 1)], 2)])
         assert dce(tr) == 0.0
 
     def test_split_mixture_hand_value(self):
-        tr = Transcript(2, [day(1, [(E1.key, Fraction(1, 2)), (E2.key, Fraction(1, 2))], 1)])
+        tr = Transcript(2, [day(1, [(E1, Fraction(1, 2)), (E2, Fraction(1, 2))], 1)])
         assert dce(tr) == 1.0
 
     def test_missing_mixture(self):
-        tr = Transcript(2, [DayRecord(1, None, Outcome(1))])
+        tr = Transcript(2, [DayRecord(1, None, 1)])
         with pytest.raises(MissingMixture):
             dce(tr)
 
     def test_grouping_merges_split_weights(self):
         # splitting an entry (p, w) into (p, w/2) + (p, w/2) changes nothing
-        whole = Transcript(2, [day(1, [(HALF.key, 1)], 1), day(2, [(E1.key, 1)], 2)])
+        whole = Transcript(2, [day(1, [(HALF, 1)], 1), day(2, [(E1, 1)], 2)])
         split = Transcript(
             2,
             [
-                day(1, [(HALF.key, Fraction(1, 2)), (HALF.key, Fraction(1, 2))], 1),
-                day(2, [(E1.key, 1)], 2),
+                day(1, [(HALF, Fraction(1, 2)), (HALF, Fraction(1, 2))], 1),
+                day(2, [(E1, 1)], 2),
             ],
         )
         assert dce(whole) == dce(split)
@@ -70,22 +70,22 @@ class TestEceTrajectory:
         tr = Transcript(
             2,
             [
-                day(1, [(E1.key, 1)], 1, realized=E1.key),
-                day(2, [(E2.key, 1)], 2, realized=E2.key),
+                day(1, [(E1, 1)], 1, realized=E1),
+                day(2, [(E2, 1)], 2, realized=E2),
             ],
         )
         assert ece_trajectory(tr) == 0.0
 
     def test_single_uniform_day(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1, realized=HALF.key)])
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1, realized=HALF)])
         assert ece_trajectory(tr) == 1.0
 
     def test_balanced_two_days(self):
         tr = Transcript(
             2,
             [
-                day(1, [(HALF.key, 1)], 1, realized=HALF.key),
-                day(2, [(HALF.key, 1)], 2, realized=HALF.key),
+                day(1, [(HALF, 1)], 1, realized=HALF),
+                day(2, [(HALF, 1)], 2, realized=HALF),
             ],
         )
         assert ece_trajectory(tr) == 0.0
@@ -102,20 +102,20 @@ class TestEceTrajectory:
             assert ece_trajectory(realized) <= 2 * tr.T + 1e-9
 
     def test_missing_realized(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1)])
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1)])
         with pytest.raises(MissingRealizedPrediction):
             ece_trajectory(tr)
 
 
 class TestDceRestricted:
     def test_hand_case(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1)])
-        spec = RestrictionSpec(frozenset({1}), frozenset({HALF.key}), frozenset({1, 2}))
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1)])
+        spec = RestrictionSpec(frozenset({1}), frozenset({HALF}), frozenset({1, 2}))
         assert dce_restricted(tr, spec) == 1.0
 
     def test_empty_sets_give_zero(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1)])
-        full_days, full_keys = frozenset({1}), frozenset({HALF.key})
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1)])
+        full_days, full_keys = frozenset({1}), frozenset({HALF})
         assert dce_restricted(tr, RestrictionSpec(full_days, frozenset(), frozenset({1}))) == 0.0
         assert dce_restricted(tr, RestrictionSpec(full_days, full_keys, frozenset())) == 0.0
 
@@ -149,9 +149,9 @@ class TestDceRestricted:
 class TestOracle:
     def test_matches_on_hand_cases(self):
         cases = [
-            Transcript(2, [day(1, [(E1.key, 1)], 1)]),
-            Transcript(2, [day(1, [(HALF.key, 1)], 1), day(2, [(HALF.key, 1)], 2)]),
-            Transcript(2, [day(1, [(E1.key, Fraction(1, 2)), (E2.key, Fraction(1, 2))], 1)]),
+            Transcript(2, [day(1, [(E1, 1)], 1)]),
+            Transcript(2, [day(1, [(HALF, 1)], 1), day(2, [(HALF, 1)], 2)]),
+            Transcript(2, [day(1, [(E1, Fraction(1, 2)), (E2, Fraction(1, 2))], 1)]),
         ]
         for tr in cases:
             assert oracle_dce_direct(tr) == pytest.approx(dce(tr), abs=1e-15)
@@ -164,14 +164,14 @@ class TestOracle:
 
 class TestExhaustiveEce:
     def test_single_day_hand_value(self):
-        tr = Transcript(2, [day(1, [(E1.key, Fraction(1, 2)), (E2.key, Fraction(1, 2))], 1)])
+        tr = Transcript(2, [day(1, [(E1, Fraction(1, 2)), (E2, Fraction(1, 2))], 1)])
         # realizations: (1,0) -> 0 error; (0,1) -> l1 = 2; expectation = 1
         assert exhaustive_ece(tr) == 1.0
 
     def test_deterministic_mixture_equals_trajectory(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1), day(2, [(HALF.key, 1)], 2)])
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1), day(2, [(HALF, 1)], 2)])
         realized = Transcript(
-            2, [DayRecord(r.t, r.mixture, r.outcome, realized=HALF.key) for r in tr.days]
+            2, [DayRecord(r.t, r.mixture, r.outcome, realized=HALF) for r in tr.days]
         )
         assert exhaustive_ece(tr) == ece_trajectory(realized)
 
@@ -182,7 +182,7 @@ class TestExhaustiveEce:
             assert exhaustive_ece(tr) >= dce(tr) - 1e-12
 
     def test_assignment_budget(self):
-        days = [day(t, [(E1.key, Fraction(1, 2)), (E2.key, Fraction(1, 2))], 1) for t in range(1, 25)]
+        days = [day(t, [(E1, Fraction(1, 2)), (E2, Fraction(1, 2))], 1) for t in range(1, 25)]
         with pytest.raises(ValueError):
             exhaustive_ece(Transcript(2, days), max_assignments=1000)
 
@@ -201,11 +201,11 @@ class TestEceEstimate:
         return factory
 
     def test_deterministic_mixture_zero_stderr(self):
-        tr = Transcript(2, [day(1, [(HALF.key, 1)], 1), day(2, [(HALF.key, 1)], 1)])
+        tr = Transcript(2, [day(1, [(HALF, 1)], 1), day(2, [(HALF, 1)], 1)])
         est = ece_estimate(self._factory_for(tr, 1), trials=10)
         assert est.stderr == 0.0
         realized = Transcript(
-            2, [DayRecord(r.t, r.mixture, r.outcome, realized=HALF.key) for r in tr.days]
+            2, [DayRecord(r.t, r.mixture, r.outcome, realized=HALF) for r in tr.days]
         )
         assert est.mean == ece_trajectory(realized)
 
@@ -230,11 +230,11 @@ class TestEceEstimate:
 
 class TestTranscriptValidate:
     def test_contiguity(self):
-        tr = Transcript(2, [day(2, [(HALF.key, 1)], 1)])
+        tr = Transcript(2, [day(2, [(HALF, 1)], 1)])
         with pytest.raises(ValueError):
             tr.validate()
 
     def test_weight_sum(self):
-        bad = Transcript(2, [day(1, [(HALF.key, Fraction(1, 2))], 1)])
+        bad = Transcript(2, [day(1, [(HALF, Fraction(1, 2))], 1)])
         with pytest.raises(ValueError):
             bad.validate()

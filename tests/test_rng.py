@@ -86,7 +86,7 @@ def _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
     ostream, lstream = Stream(okey, octr), Stream(lkey, lctr)
     outcomes, levels = [], []
     for _ in range(n_days):
-        outcomes.append(sample_outcome(dist, ostream).index)
+        outcomes.append(sample_outcome(dist, ostream))
         levels.append(lstream.below(n_levels))
     counts = [outcomes.count(i) for i in range(1, d + 1)]
     tally = [[0] * d for _ in range(n_levels)]

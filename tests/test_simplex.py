@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hicalib.errors import (
@@ -12,8 +12,6 @@ from hicalib.errors import (
     ZeroDenominator,
 )
 from hicalib.simplex import (
-    Outcome,
-    canonical_key,
     dist_from_json,
     entropy,
     kl_divergence,
@@ -118,17 +116,10 @@ class TestKL:
 
 class TestCanonicalKey:
     def test_scaled_forms_share_key(self):
-        assert canonical_key(make_rational_dist([8, 4], 12)) == canonical_key(
-            make_rational_dist([2, 1], 3)
-        )
+        assert make_rational_dist([8, 4], 12) == make_rational_dist([2, 1], 3)
 
     def test_distinct_points_differ(self):
-        assert canonical_key(make_rational_dist([1, 1], 2)) != canonical_key(
-            make_rational_dist([1, 3], 4)
-        )
-
-    def test_outcome_one_hot(self):
-        assert Outcome(2).one_hot(3) == point_mass(3, 2)
+        assert make_rational_dist([1, 1], 2) != make_rational_dist([1, 3], 4)
 
 
 @given(dists(), dists())
@@ -159,5 +150,89 @@ def test_key_congruence(a, scale):
     scaled = make_rational_dist(
         [n * scale for n in a.numerators], a.denominator * scale
     )
-    assert canonical_key(scaled) == canonical_key(a)
     assert scaled == a
+
+
+class TestPointType:
+    """One type per simplex point: the point is its own key."""
+
+    def test_repr_names_the_key_type(self):
+        # Benchmark reference digests hash this repr.
+        assert repr(make_rational_dist([2, 2], 4)) == (
+            "PredictionKey(numerators=(1, 1), denominator=2)"
+        )
+
+    def test_equals_and_hashes_like_its_tuple(self):
+        a = make_rational_dist([6, 3], 9)
+        assert a == ((2, 1), 3) and hash(a) == hash(((2, 1), 3))
+        assert {((2, 1), 3): "x"}[a] == "x"
+        assert {a: "y"}[((2, 1), 3)] == "y"
+
+    def test_points_sort_as_tuples(self):
+        pts = [make_rational_dist(n, sum(n)) for n in ([1, 1], [0, 1], [1, 0], [2, 1], [1, 3])]
+        assert sorted(pts) == sorted(pts, key=lambda p: (tuple(p.numerators), p.denominator))
+        assert [tuple(p) for p in sorted(pts)] == sorted(tuple(p) for p in pts)
+
+    def test_point_mass_is_the_one_hot_vector(self):
+        assert point_mass(3, 2) == make_rational_dist([0, 1, 0], 1)
+        assert point_mass(3, 2).value(1) == 1 and point_mass(3, 2).d == 3
+
+
+def _reference_dist(nums, den):
+    """Naive make_rational_dist: the same checks in the same order, reduction by Fraction."""
+    if den <= 0:
+        raise ZeroDenominator(den)
+    if len(nums) < 2:
+        raise DimensionMismatch(len(nums))
+    if any(n < 0 for n in nums):
+        raise SumMismatch(nums)
+    if sum(nums) != den:
+        raise SumMismatch(nums)
+    fracs = [Fraction(n, den) for n in nums]
+    common = math.lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * common) for f in fracs), common
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDenominator, DimensionMismatch, SumMismatch) as exc:
+        return type(exc)
+
+
+_unit = st.one_of(st.just(0), st.integers(1, 9), st.integers(2**64, 2**70))
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 300).flatmap(lambda d: st.lists(_unit, min_size=d, max_size=d)),
+    st.one_of(st.just(1), st.integers(2, 12), st.integers(2**64, 2**66)),
+)
+def test_constructor_matches_fraction_reference(units, scale):
+    nums = [u * scale for u in units]
+    got = _result_or_error(make_rational_dist, nums, sum(nums))
+    want = _result_or_error(_reference_dist, nums, sum(nums))
+    if isinstance(want, tuple):
+        assert (got.numerators, got.denominator) == want
+    else:
+        assert got is want
+
+
+@given(
+    st.lists(st.one_of(st.integers(-3, 9), st.integers(2**64, 2**65)), max_size=6),
+    st.integers(-2, 2),
+    st.one_of(st.none(), st.integers(-3, 0)),
+)
+@example([-1, 2], 0, None)  # negative entry, right sum
+@example([1, 2], 1, None)  # wrong sum
+@example([1], 0, None)  # d < 2
+@example([0, 0], 0, None)  # den 0
+@example([1, 1], 0, -2)  # den < 0
+def test_constructor_errors_match_reference(nums, off, den_override):
+    den = sum(nums) + off if den_override is None else den_override
+    got = _result_or_error(make_rational_dist, nums, den)
+    want = _result_or_error(_reference_dist, nums, den)
+    if isinstance(want, tuple):
+        assert (got.numerators, got.denominator) == want
+    else:
+        assert got is want
