@@ -22,7 +22,6 @@ from .adversary import (
 )
 from .certificate import (
     CertificateReport,
-    IntervalStats,
     RunView,
     certify_run,
     check_chain,

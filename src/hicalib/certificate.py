@@ -16,6 +16,13 @@ exact entropy-telescoping identity across levels, both checked here too.
 
 Successor predictions at h = H+1 are evaluated from the same smoothing
 formula even though they are never played: the analysis sums over them.
+
+The exact sums A0..A2 are kept as integer numerators grouped by
+denominator: a cell with outcome counts c over T_l days and a prediction z
+over den(z) adds sum_i |z_i*T_l - c_i*den(z)| to den(z)'s numerator, which
+is T_l*l1(z, c/T_l)*den(z).  Each distinct denominator becomes one
+`Fraction` at the end.  Floats of exact ratios are int/int true divisions,
+correctly rounded like `Fraction.__float__`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .engine import RunResult
 from .forecaster import smoothed_prediction
@@ -49,22 +55,6 @@ class CheckRow:
     bound: float
     margin: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class IntervalStats:
-    """Per (level, iteration) cell: average outcome, predictions, residuals."""
-
-    level: int
-    interval_index: int  # h_{<l} flat index in [0, H**(l-1))
-    h: int               # iteration within the interval, in [1, H]
-    average_outcome: RationalDist
-    prediction: RationalDist
-    successor_prediction: RationalDist
-    l1_to_prediction: Fraction
-    l1_to_successor: Fraction
-    kl_to_successor: float
-    entropy_outcome: float
 
 
 @dataclass(frozen=True)
@@ -151,45 +141,23 @@ class RunView:
             [entropy(x) for x in nodes] for nodes in self.dist_by_depth
         ]
         # Predictions z_1..z_{H+1} per (level, interval); z_{H+1} is the
-        # never-played successor of the last iteration.
+        # never-played successor of the last iteration.  z_1 is the same
+        # smoothed uniform point for every interval of a level.
         self.preds: list[list[list[RationalDist]]] = []
         for level in range(1, L + 1):
             t_level = cfg.period(level)
             per_level = []
             children = self.counts_by_depth[level]
+            z_first = smoothed_prediction([0] * d, 1, t_level, d, cfg.m)
             for v in range(H ** (level - 1)):
                 prefix = [0] * d
-                zs = [smoothed_prediction(prefix, 1, t_level, d, cfg.m)]
+                zs = [z_first]
                 for h in range(1, H + 1):
                     child = children[v * H + h - 1]
                     prefix = [prefix[i] + child[i] for i in range(d)]
                     zs.append(smoothed_prediction(prefix, h + 1, t_level, d, cfg.m))
                 per_level.append(zs)
             self.preds.append(per_level)
-
-    def interval_stats(self, level: int, v: int, h: int) -> IntervalStats:
-        x = self.dist_by_depth[level][v * self.cfg.H + h - 1]
-        zs = self.preds[level - 1][v]
-        pred, succ = zs[h - 1], zs[h]
-        return IntervalStats(
-            level=level,
-            interval_index=v,
-            h=h,
-            average_outcome=x,
-            prediction=pred,
-            successor_prediction=succ,
-            l1_to_prediction=l1_distance_exact(pred, x),
-            l1_to_successor=l1_distance_exact(succ, x),
-            kl_to_successor=kl_divergence(x, succ),
-            entropy_outcome=self.ent_by_depth[level][v * self.cfg.H + h - 1],
-        )
-
-    def iter_interval_stats(self) -> Iterator[IntervalStats]:
-        H = self.cfg.H
-        for level in range(1, self.cfg.L + 1):
-            for v in range(H ** (level - 1)):
-                for h in range(1, H + 1):
-                    yield self.interval_stats(level, v, h)
 
 
 def _view(run) -> RunView:
@@ -212,12 +180,13 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
         bad = 0
         for zs in view.preds[level - 1]:
             for h in range(1, cfg.H + 1):
+                # gap = n/D against the bound 2/k, compared as integers
                 gap = l1_distance_exact(zs[h - 1], zs[h])
-                bound = Fraction(2, h + cfg.m)
-                if gap > bound:
+                n, D, k = gap.numerator, gap.denominator, h + cfg.m
+                if n * k > 2 * D:
                     bad += 1
-                level_max = max(level_max, float(gap))
-                min_margin = min(min_margin, float(bound - gap))
+                level_max = max(level_max, n / D)
+                min_margin = min(min_margin, (2 * D - n * k) / (k * D))
         violations += bad
         rows.append(
             CheckRow(
@@ -257,9 +226,7 @@ def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretRes
         for i in range(d):
             c = child[i]
             if c:
-                lhs += (c / t_level) * math.log(
-                    Fraction(z.denominator, z.numerators[i])
-                )
+                lhs += (c / t_level) * math.log(z.denominator / z.numerators[i])
             w_total[i] += child[i]
     c_smooth = m / d
     tight = (H + 1 + m) * math.log(H + 1 + m) - (1 + m) * math.log(1 + m) - H
@@ -336,14 +303,24 @@ def check_telescope(run) -> TelescopeResult:
     return TelescopeResult(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
+def _exact_sum(nums_by_den: dict[int, int]) -> Fraction:
+    """Sum of num/den over a {den: num} map, one Fraction per denominator."""
+    return sum((Fraction(n, den) for den, n in nums_by_den.items()), Fraction(0))
+
+
+def _add_scaled_l1(nums_by_den: dict[int, int], z: RationalDist, counts, t: int) -> None:
+    """Add t*l1(z, counts/t) to nums_by_den as an integer over den(z)."""
+    den = z.denominator
+    nums_by_den[den] = nums_by_den.get(den, 0) + sum(
+        abs(nz * t - c * den) for nz, c in zip(z.numerators, counts)
+    )
+
+
 def _dce_exact(run: RunResult) -> Fraction:
-    total = Fraction(0)
+    nums_by_den: dict[int, int] = {}
     for kid, rec in run.dce_tallies.items():
-        n_days, vec = rec[0], rec[1:]
-        nums, den = run.keys[kid]
-        abs_sum = sum(abs(nu * n_days - den * v) for nu, v in zip(nums, vec))
-        total += Fraction(abs_sum, den * run.cfg.L)
-    return total
+        _add_scaled_l1(nums_by_den, run.keys[kid], rec[1:], rec[0])
+    return _exact_sum(nums_by_den) / run.cfg.L
 
 
 def check_recomputation(run: RunResult, view: RunView | None = None) -> CheckRow:
@@ -378,16 +355,24 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
     T, L, m, d = cfg.T, cfg.L, cfg.m, cfg.d
 
     a0 = _dce_exact(run)
-    a1 = Fraction(0)
-    a2_sum = Fraction(0)
+    # sum over cells of T_l*l1(z_h, x) (A1) and T_l*l1(z_{h+1}, x) (A2)
+    a1_nums: dict[int, int] = {}
+    a2_nums: dict[int, int] = {}
     k_bar = 0.0
-    for st in view.iter_interval_stats():
-        t_level = cfg.period(st.level)
-        a1 += t_level * st.l1_to_prediction
-        a2_sum += t_level * st.l1_to_successor
-        k_bar += st.kl_to_successor / cfg.H**st.level
-    a1 /= L
-    a2 = a2_sum / L + Fraction(2 * T, m)
+    H = cfg.H
+    for level in range(1, L + 1):
+        t_level = cfg.period(level)
+        weight = H**level
+        counts = view.counts_by_depth[level]
+        dists = view.dist_by_depth[level]
+        for v, zs in enumerate(view.preds[level - 1]):
+            for h in range(1, H + 1):
+                cell = v * H + h - 1
+                _add_scaled_l1(a1_nums, zs[h - 1], counts[cell], t_level)
+                _add_scaled_l1(a2_nums, zs[h], counts[cell], t_level)
+                k_bar += kl_divergence(dists[cell], zs[h]) / weight
+    a1 = _exact_sum(a1_nums) / L
+    a2 = _exact_sum(a2_nums) / L + Fraction(2 * T, m)
     k_bar /= L
     a3 = T * math.sqrt(2.0 * k_bar) + 2.0 * T / m
 

@@ -12,12 +12,14 @@ replay, and its mixture and realized key are checked against the block's
 mixture the replay recomputed.  It then recomputes ``metrics.csv`` (DCE from
 the replay, ECE from the realized keys) and compares it byte for byte, and
 runs the full proof certificate on the rebuilt run.  Records are decoded
-strictly: bytes that are not UTF-8, any float, NaN or Infinity, a
-non-integer ``t`` or ``outcome``, a ``realized`` field present outside
-sampled mode (or missing inside it), or other than T day records is a
-``CorruptRecord``.  The recorded mixture is constant over each S-day block,
-so certify canonicalises a mixture only when it differs from the previous
-day's, and each distinct key once.
+strictly: bytes that are not UTF-8, any float, NaN, Infinity or boolean, a
+non-integer ``t`` or ``outcome``, a day record whose keys are not exactly
+the ones ``cmd_run`` writes (``t``, ``outcome``, ``mixture``, plus
+``realized`` iff the run is sampled and ``adv_dist`` iff it records the
+adversary), or other than T day records is a ``CorruptRecord``.  The
+recorded mixture is constant over each S-day block, so certify
+canonicalises a mixture only when it differs from the previous day's, and
+each distinct key once.
 """
 
 from __future__ import annotations
@@ -302,7 +304,7 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
 
     dce_val = engine.dce_value(run)
     ece_val = engine.ece_value(run) if sampled else None
-    _write_csv(metrics_path, _metrics_rows(rc, dce_val, ece_val))
+    _write_text(metrics_path, _csv_text(_metrics_rows(rc, dce_val, ece_val)))
     return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
 
 
@@ -321,9 +323,12 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(rows))
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {path} ({exc.strerror})") from None
 
 
 # -- cmd_certify ---------------------------------------------------------------
@@ -434,6 +439,11 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
             rc = _parse_header(fh.readline(), decode)
             cfg, sampled = rc.cfg, rc.mode == "sampled"
             d, T = cfg.d, cfg.T
+            day_keys = {"t", "outcome", "mixture"}
+            if sampled:
+                day_keys.add("realized")
+            if rc.record_adversary:
+                day_keys.add("adv_dist")
             # The replay hands each block's mixture to on_block before it
             # pulls the block's days from `days()`, which checks every
             # recorded mixture and realized key against it as it decodes the
@@ -463,9 +473,19 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
                     lineno = t + 1
                     try:
                         rec = decode(line)
-                        day, outcome = rec["t"], rec["outcome"]
-                    except (CorruptRecord, ValueError, KeyError, TypeError) as exc:
+                    except (CorruptRecord, ValueError) as exc:
                         raise CorruptRecord(f"line {lineno}: {exc}") from None
+                    if type(rec) is not dict or rec.keys() != day_keys:
+                        raise CorruptRecord(
+                            f"line {lineno}: day record keys must be exactly {sorted(day_keys)}"
+                        )
+                    # With the keys fixed, any other string on the line is
+                    # corrupt anyway, so these words mark a JSON boolean or a
+                    # corrupt record.  A bool equals and hashes like 0 or 1,
+                    # which the shortcuts below would otherwise let through.
+                    if "true" in line or "false" in line:
+                        raise CorruptRecord(f"line {lineno}: boolean in day record")
+                    day, outcome = rec["t"], rec["outcome"]
                     if type(day) is not int or day != t:
                         raise CorruptRecord(f"line {lineno}: day {day!r} out of order")
                     if t > T:
@@ -474,12 +494,8 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
                         raise CorruptRecord(
                             f"line {lineno}: outcome {outcome!r} not an integer in [1, {d}]"
                         )
-                    if ("realized" in rec) is not sampled:
-                        raise CorruptRecord(
-                            f"line {lineno}: 'realized' must be recorded exactly in sampled mode"
-                        )
                     try:
-                        mix = rec.get("mixture", [])
+                        mix = rec["mixture"]
                         if mix != prev_mix:
                             seen = _mixture_of(mix, canonical)
                             prev_mix = mix
@@ -539,9 +555,8 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         checks=[consistency, metrics_check, *base.checks],
         chain=base.chain,
     )
-    with open(os.path.join(run_dir, CERTIFICATE_JSON), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    _write_csv(os.path.join(run_dir, CERTIFICATE_CSV), report.csv_rows())
+    _write_text(os.path.join(run_dir, CERTIFICATE_JSON), report.to_json())
+    _write_text(os.path.join(run_dir, CERTIFICATE_CSV), _csv_text(report.csv_rows()))
     return report, 0 if report.passed else 1
 
 

@@ -127,7 +127,7 @@ def kl_divergence(x: RationalDist, p: RationalDist) -> float:
             raise AbsoluteContinuityViolation(
                 "x has mass where p has none; KL undefined"
             )
-        s += nx * math.log(Fraction(nx * dp, dx * np))
+        s += nx * math.log(nx * dp / (dx * np))
     return max(s / dx, 0.0)
 
 

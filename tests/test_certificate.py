@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,8 +18,8 @@ from hicalib.certificate import (
     check_telescope,
 )
 from hicalib.engine import run_from_outcomes, simulate
-from hicalib.forecaster import ForecastConfig
-from hicalib.simplex import uniform
+from hicalib.forecaster import ForecastConfig, smoothed_prediction
+from hicalib.simplex import l1_distance_exact, make_rational_dist, uniform
 
 # Hand evaluation of the d=2, H=2, m=1 interval with outcomes (1, 2):
 # w1=(1,0), w2=(0,1); z2=(3/4,1/4), z3=(1/2,1/2)
@@ -227,3 +228,91 @@ class TestReportShape:
         assert r1.to_json() == r2.to_json()
         assert r1.csv_rows() == r2.csv_rows()
         assert r1.to_json_dict()["run_id"] == "abc"
+
+
+def _kl_reference(x, p):
+    """KL(x || p) with one Fraction per log argument, as simplex once had it."""
+    s = 0.0
+    for nx, np_ in zip(x.numerators, p.numerators):
+        if nx:
+            s += nx * math.log(Fraction(nx * p.denominator, x.denominator * np_))
+    return max(s / x.denominator, 0.0)
+
+
+def reference_chain(run):
+    """A0, A1, A2, K_bar and smoothness rows from per-cell Fraction terms.
+
+    Predictions are recomputed per interval, each cell's l1 terms are
+    l1_distance_exact Fractions summed in (level, v, h) order, and each
+    smoothness bound is Fraction(2, h+m).
+    """
+    cfg = run.cfg
+    d, H, L, m = cfg.d, cfg.H, cfg.L, cfg.m
+    counts = RunView(run).counts_by_depth
+    a0 = Fraction(0)
+    for kid, rec in run.dce_tallies.items():
+        nums, den = run.keys[kid]
+        a0 += Fraction(sum(abs(nu * rec[0] - den * v) for nu, v in zip(nums, rec[1:])), den * L)
+    a1 = a2 = Fraction(0)
+    k_bar = 0.0
+    smooth = []
+    for level in range(1, L + 1):
+        t_level = cfg.period(level)
+        level_max, min_margin, bad = 0.0, math.inf, 0
+        for v in range(H ** (level - 1)):
+            prefix = [0] * d
+            z = smoothed_prediction(prefix, 1, t_level, d, m)
+            for h in range(1, H + 1):
+                c = counts[level][v * H + h - 1]
+                prefix = [p + ci for p, ci in zip(prefix, c)]
+                succ = smoothed_prediction(prefix, h + 1, t_level, d, m)
+                x = make_rational_dist(c, t_level)
+                a1 += t_level * l1_distance_exact(z, x)
+                a2 += t_level * l1_distance_exact(succ, x)
+                k_bar += _kl_reference(x, succ) / H**level
+                gap, bound = l1_distance_exact(z, succ), Fraction(2, h + m)
+                bad += gap > bound
+                level_max = max(level_max, float(gap))
+                min_margin = min(min_margin, float(bound - gap))
+                z = succ
+        smooth.append((level_max, min_margin, bad == 0 and level_max <= 2.0 / m))
+    return a0, a1 / L, a2 / L + Fraction(2 * cfg.T, m), k_bar / L, smooth
+
+
+def assert_chain_matches_reference(run):
+    a0, a1, a2, k_bar, smooth = reference_chain(run)
+    rep = check_chain(run)
+    assert [rep.chain[k] for k in ("A0", "A1", "A2", "K_bar")] == [
+        float(a0), float(a1), float(a2), k_bar
+    ]
+    rows = {c.name: c for c in rep.checks}
+    assert rows["chain-step1-triangle"].margin == float(a1 - a0)
+    assert rows["chain-step2-successor-swap"].margin == float(a2 - a1)
+    got = [(c.measured, c.margin, c.passed) for c in rep.checks if c.name == "smoothness-step"]
+    assert got == smooth
+
+
+@given(st.lists(st.integers(1, 3), min_size=24, max_size=24))
+def test_chain_equals_fraction_reference_on_any_history(outcomes):
+    assert_chain_matches_reference(run_from_outcomes(PATHWISE_CFG, outcomes))
+
+
+@pytest.mark.parametrize("tag", range(12))
+def test_chain_equals_fraction_reference_on_random_runs(tag):
+    assert_chain_matches_reference(
+        random_run(700 + tag, mode="sampled" if tag % 2 else "distributional")
+    )
+
+
+BIG = st.integers(1, 2**300)
+
+
+@given(BIG, BIG)
+def test_int_division_log_equals_fraction_log(a, b):
+    assert math.log(a / b) == math.log(Fraction(a, b))
+
+
+@given(st.integers(0, 2**300), BIG, BIG)
+def test_int_division_margin_equals_fraction_margin(n, D, k):
+    assert n / D == float(Fraction(n, D))
+    assert (2 * D - n * k) / (k * D) == float(Fraction(2, k) - Fraction(n, D))

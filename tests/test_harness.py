@@ -325,6 +325,19 @@ def _known_key_plus_element(recs):
     recs[3]["realized"] = recs[2]["realized"] + [0]
 
 
+def _bool_realized_memo_hit(recs):
+    # day 1's mixture has already canonicalised this key, and
+    # (True, 1, 1) hashes and compares like (1, 1, 1): a memo hit
+    assert recs[1]["realized"] == [[1, 1, 1], 3]
+    recs[1]["realized"] = [[True, 1, 1], 3]
+
+
+def _bool_weight_unchanged_mixture(recs):
+    # == day 1's mixture, so the unchanged-mixture shortcut skips it
+    assert recs[2]["mixture"] == recs[1]["mixture"] == [[[[1, 1, 1], 3], [1, 1]]]
+    recs[2]["mixture"] = [[[[1, 1, 1], 3], [True, True]]]
+
+
 CORRUPTIONS = {
     "bool-outcome": _set("outcome", True),
     "float-t": _set("t", 3.0),
@@ -343,6 +356,29 @@ CORRUPTIONS = {
     "mixture-dict-weight": _dict_weight,
     "realized-not-numeric": _set("realized", [["a", 1], 2]),
     "realized-known-key-plus-element": _known_key_plus_element,
+    "day-extra-key": _set("tt", 0),
+    "realized-bool-memo-hit": _bool_realized_memo_hit,
+    "mixture-bool-weight-unchanged-day": _bool_weight_unchanged_mixture,
+}
+
+
+def _rename_adv_dist(recs):
+    recs[3]["advdist"] = recs[3].pop("adv_dist")
+
+
+def _drop_adv_dist(recs):
+    del recs[3]["adv_dist"]
+
+
+def _bool_adv_dist(recs):
+    assert recs[3]["adv_dist"] == [[1, 2, 3], 6]
+    recs[3]["adv_dist"] = [[True, 2, 3], 6]
+
+
+RECORDED_CORRUPTIONS = {
+    "adv-dist-misspelt": _rename_adv_dist,
+    "adv-dist-missing": _drop_adv_dist,
+    "adv-dist-bool": _bool_adv_dist,
 }
 
 
@@ -350,6 +386,16 @@ class TestCertifyStrict:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corruption_exits_2(self, tmp_path, capsys, name):
         rewrite(sampled_run(tmp_path), CORRUPTIONS[name])
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_CORRUPTIONS))
+    def test_recorded_adversary_corruption_exits_2(self, tmp_path, capsys, name):
+        cfg_path = write_config(tmp_path, SAMPLED_CFG + "record_adversary = true\n")
+        cmd_run(cfg_path, seed=3, out_dir=str(tmp_path / "run"))
+        rewrite(tmp_path / "run" / "transcript.jsonl", RECORDED_CORRUPTIONS[name])
         with pytest.raises(CorruptRecord):
             cmd_certify(str(tmp_path / "run"))
         assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
@@ -730,7 +776,9 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["certify-dir-transcript", "run-dir-config",
                                       "concentration-dir-config", "run-out-is-file",
-                                      "run-out-dir-transcript"])
+                                      "run-out-dir-transcript", "run-out-dir-metrics",
+                                      "certify-dir-certificate-json",
+                                      "certify-dir-certificate-csv"])
     def test_path_shaped_input_exits_2(self, tmp_path, capsys, case):
         # A directory where a file should be, or a file where the run
         # directory should be, ends in a HicalibError, not a traceback.
@@ -740,6 +788,10 @@ class TestCli:
         (tmp_path / "run" / "transcript.jsonl").mkdir(parents=True)
         a_file = tmp_path / "a_file"
         a_file.write_text("")
+        (tmp_path / "m" / "metrics.csv").mkdir(parents=True)
+        for name in ("certificate.json", "certificate.csv"):
+            cmd_run(cfg_path, seed=1, out_dir=str(tmp_path / f"done-{name}"))
+            (tmp_path / f"done-{name}" / name).mkdir()
         argv = {
             "certify-dir-transcript": ["certify", "--run", str(tmp_path / "run")],
             "run-dir-config": ["run", "--config", str(a_dir), "--seed", "1",
@@ -750,6 +802,12 @@ class TestCli:
                                 "--out", str(a_file)],
             "run-out-dir-transcript": ["run", "--config", cfg_path, "--seed", "1",
                                        "--out", str(tmp_path / "run")],
+            "run-out-dir-metrics": ["run", "--config", cfg_path, "--seed", "1",
+                                    "--out", str(tmp_path / "m")],
+            "certify-dir-certificate-json": ["certify", "--run",
+                                             str(tmp_path / "done-certificate.json")],
+            "certify-dir-certificate-csv": ["certify", "--run",
+                                            str(tmp_path / "done-certificate.csv")],
         }[case]
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err

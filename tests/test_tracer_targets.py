@@ -3,14 +3,20 @@
 `perfbench/tracer.py` replaces each `(owner, attr)` of its `_targets()` in
 `owner.__dict__`; a refactor that moves or renames one of them breaks
 `perfbench/run.py --trace 1`.  This loads the tracer by path (it is not a
-package on the test path) and checks every target and the install/restore
-round trip.
+package on the test path) and checks every target, the install/restore
+round trip, and the counts one traced certificate reports.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from hicalib import certificate
+from hicalib.adversary import IIDAdversary
+from hicalib.engine import simulate
+from hicalib.forecaster import ForecastConfig
+from hicalib.simplex import uniform
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +51,16 @@ def test_install_restore_round_trips(tracer_mod):
     finally:
         tracer.restore()
     assert [owner.__dict__[attr] for owner, attr, *_ in targets] == before
+
+
+def test_certificate_counts(tracer_mod):
+    cfg = ForecastConfig(d=2, L=3, H=2, S=1, m=1)
+    run = simulate(cfg, IIDAdversary(uniform(2)), seed=0)
+    tracer = tracer_mod.Tracer()
+    tracer.run_op(0, certificate.certify_run, run)
+    # one cell per node of the interval tree, depths 0..L
+    assert tracer.op_counts[0]["certificate.cells"] == sum(cfg.H**k for k in range(cfg.L + 1))
+    # per level: one shared z_1, then z_2..z_{H+1} for each of H**(l-1) intervals
+    assert tracer.op_layers(0)["forecaster.predictions"] == sum(
+        1 + cfg.H**level for level in range(1, cfg.L + 1)
+    )
