@@ -38,7 +38,6 @@ from .forecaster import (
     interval_of,
     coupled_parameters,
     predict_level,
-    sample_level,
     sample_prediction,
     smoothed_prediction,
 )

@@ -9,16 +9,14 @@ through `_uniforms`.
 
 Counters advance one per 64-bit word drawn, accepted or rejected, so every
 value is the one `rng.Stream.below` would return from the same position.
-`_uniforms` takes one of three paths:
+`_uniforms` takes one of two paths:
 
 - a denominator of 2**64 or more goes through `Stream.below`, which draws
   several words per attempt;
-- fewer than `BATCH_MIN` draws run a scalar loop with the SplitMix64
-  finalizer inlined;
-- otherwise words are drawn in lane-packed batches of up to `CHUNK`
-  consecutive counters (`_words`).  One Python int holds the whole batch,
-  128 bits per lane, and the finalizer runs on every lane at once in a
-  dozen big-integer operations.  Each lane is masked to 64 bits before every
+- any smaller denominator draws its words in lane-packed batches of up to
+  `CHUNK` consecutive counters (`_words`).  One Python int holds the whole
+  batch, 128 bits per lane, and the finalizer runs on every lane at once in
+  a dozen big-integer operations.  Each lane is masked to 64 bits before every
   multiply, so a lane's 128-bit product never carries into its neighbour.
   A batch whose words all clear the rejection threshold is accepted whole;
   otherwise the rejected words are filtered out.  A batch never holds more
@@ -39,10 +37,6 @@ from .rng import GOLDEN, MASK64, MIX_C1, MIX_C2, Stream
 
 _MOD = 1 << 64
 
-# Below this many draws the scalar loop is at least as fast as a batch.  On
-# a 2-core x86-64 host (Python 3.11) the two cost the same per draw at about
-# 6 draws, and a batch of 8 costs 15-40% less.
-BATCH_MIN = 8
 # Lanes per packed integer: bounds the lane constants (3 x 16·CHUNK bytes)
 # and the transient big integers of one batch.
 CHUNK = 2048
@@ -98,7 +92,7 @@ def _uniforms(key: int, ctr: int, n: int, m: int) -> tuple[list[int], int]:
     threshold = (_MOD - m) % m
     vals: list[int] = []
     need = n
-    while need >= BATCH_MIN:
+    while need:
         k = min(need, CHUNK)
         words = _words(key, ctr, k)
         ctr += k
@@ -107,16 +101,6 @@ def _uniforms(key: int, ctr: int, n: int, m: int) -> tuple[list[int], int]:
         else:
             vals += [w % m for w in words if w >= threshold]
         need = n - len(vals)
-    for _ in range(need):
-        while True:
-            ctr += 1
-            z = (key + GOLDEN * ctr) & MASK64
-            z = ((z ^ (z >> 30)) * MIX_C1) & MASK64
-            z = ((z ^ (z >> 27)) * MIX_C2) & MASK64
-            z ^= z >> 31
-            if z >= threshold:
-                break
-        vals.append(z % m)
     return vals, ctr
 
 

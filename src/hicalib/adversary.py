@@ -8,22 +8,24 @@ puts mass 1/R on one hidden coordinate of block D_{r, k_r} for each
 r < R, plus 1/R spread uniformly over the last block D_R.
 
 The adaptive adversary picks the outcome minimizing the forecaster's
-expected predicted mass for the current day; it sees the day's mixture
-(a deterministic function of past outcomes) but never the day's random
-draws.
+expected predicted mass for the current day; it sees the day's L level
+predictions (a deterministic function of past outcomes) but never the
+day's random draws.
 
-Every adversary's `next` returns the day's law as a canonical simplex point
-(`RationalDist`); `sample_outcome` draws a 1-based int outcome from it.
+Every adversary's `next(t, level_keys)` takes the day and the tuple of the
+L level predictions, level 1 first, and returns the day's law as a
+canonical simplex point (`RationalDist`); `sample_outcome` draws a 1-based
+int outcome from it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingTauEntry, ConfigInvalid, OutOfRange
-from .forecaster import MixtureRecord
 from .rng import ROLE_TAU, Stream, derive_stream
 from .simplex import RationalDist, make_rational_dist, point_mass
 
@@ -150,48 +152,47 @@ def sample_outcome(p: RationalDist, stream: Stream) -> int:
 class IIDAdversary:
     """Plays the same outcome law q every day."""
 
-    adaptive = False
     constant_within_block = True
 
     def __init__(self, q: RationalDist):
         self.q = q
         self.name = "iid"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
+    def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         return self.q
 
 
 class AdaptiveArgminAdversary:
     """Point mass on the coordinate with the least expected predicted mass.
 
-    Ties break toward the smallest index.  Uses only the day's mixture,
-    which is a deterministic function of the realized past.
+    Ties break toward the smallest index.  Uses only the day's level
+    predictions, which are a deterministic function of the realized past.
+    Coordinate i scores sum_l n_{l,i} * (lcm / den_l) over the level keys
+    n_l / den_l: L * lcm times its mixture mass, so the argmin is exact in
+    integers.
     """
 
-    adaptive = True
     constant_within_block = True
 
     def __init__(self, d: int):
         self.d = d
         self.name = "adaptive_argmin"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
-        if mixture is None:
-            raise ConfigInvalid("adaptive adversary needs the day's mixture")
-        scores = [Fraction(0)] * self.d
-        for key, w in mixture.entries:
-            den = key.denominator
-            for i, n in enumerate(key.numerators):
-                if n:
-                    scores[i] += w * Fraction(n, den)
-        best = min(range(self.d), key=lambda i: (scores[i], i))
-        return point_mass(self.d, best + 1)
+    def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
+        if level_keys is None:
+            raise ConfigInvalid("adaptive adversary needs the day's level predictions")
+        lcm = math.lcm(*(key.denominator for key in level_keys))
+        scores = [0] * self.d
+        for nums, den in level_keys:
+            scale = lcm // den
+            for i, n in enumerate(nums):
+                scores[i] += n * scale
+        return point_mass(self.d, scores.index(min(scores)) + 1)
 
 
 class HardSequenceAdversary:
     """Oblivious recursive hard sequence; the tau tree is fixed at construction."""
 
-    adaptive = False
     constant_within_block = False
 
     def __init__(self, cfg: HardSeqConfig, seed: int | None = None, tree: TauTree | None = None, trial: int = 0):
@@ -203,7 +204,7 @@ class HardSequenceAdversary:
         self.tree = tree
         self.name = "hard"
 
-    def next(self, t: int, mixture: MixtureRecord | None = None) -> RationalDist:
+    def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         return day_distribution(self.tree, t, self.cfg)
 
 

@@ -5,10 +5,16 @@ Every level's prediction is frozen within leaf blocks of S consecutive days
 bookkeeping (predictions, canonical keys, calibration tallies) happens only
 at iteration boundaries, while the per-day work (outcome draws and, in
 sampled mode, the uniform sub-forecaster draw) is delegated to the
-`_kernel_py` day-simulation kernel, which handles any denominator.  A
-constant-law block of S days is one kernel call, which draws its words in
-lane-packed batches when S reaches the kernel's scalar cut (`BATCH_MIN`);
-adversaries whose law changes daily call it one day at a time.
+`_kernel_py` day-simulation kernel, which handles any denominator.
+
+A block's forecast is its tuple of level keys (each level's prediction,
+level 1 first); a simulation or replay builds no mixture.  Adversaries see
+those keys through `next(t, level_keys)`.  A block's days form segments of
+one outcome law each, simulated by one kernel call: one S-day segment when
+the adversary is constant within a block, otherwise S one-day segments; a
+replay's block is one segment of its S recorded outcomes, with no law.  One
+fold adds every segment to the leaf counts, totals, ECE tallies and
+retained lists.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -21,13 +27,14 @@ modules need: per-leaf outcome counts, the key of every level iteration,
 and exact integer tallies for DCE/ECE; per-day outcomes are retained only
 for desk-scale horizons (or when a sink consumes them streaming).
 
-Sinks: at the start of every block, `on_block(mixture, level_keys)` receives
-the block's MixtureRecord (built once by `merge_mixture`, fixed for the S
-days) and the tuple of each level's prediction key, level 1 first;
-`on_day(t, outcome, level, law)` then sees each of the block's days.
+Sinks: at the start of every block, `on_block(t_first, level_keys)`
+receives the block's first day and its level keys, fixed for the S days
+(a sink that writes or checks the day's mixture builds it with
+`forecaster.merge_mixture`); `on_day(t, outcome, level, law)` then sees
+each of the block's days, with `law` None in a replay.
 `run_from_outcomes` replays a recorded outcome history from any iterable,
 pulling S outcomes per block only after `on_block` has seen that block's
-mixture, so a caller can check a transcript line by line as the replay
+keys, so a caller can check a transcript line by line as the replay
 consumes it.
 """
 
@@ -47,7 +54,7 @@ from .forecaster import (
 )
 from .metrics import DayRecord, Transcript
 from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
-from .simplex import PredictionKey, RationalDist
+from .simplex import PredictionKey
 
 RETAIN_LIMIT = 1 << 20
 
@@ -165,80 +172,56 @@ def _drive(
                 snap_iter[li] = totals.copy()
 
         t_first = b * S + 1
-        mix_rec: MixtureRecord | None = None
-        if (adversary is not None and adversary.adaptive) or on_block is not None:
-            level_keys = tuple(keys[k] for k in cur_kid)
-            mix_rec = merge_mixture(t_first, level_keys, L)
-            if on_block is not None:
-                on_block(mix_rec, level_keys)
+        level_keys = tuple(keys[k] for k in cur_kid)
+        if on_block is not None:
+            on_block(t_first, level_keys)
 
-        # --- produce the block's outcomes -----------------------------------
+        # --- the block's days, in segments of one outcome law each ----------
         if replaying:
-            # Pulled only now, after on_block has seen the block's mixture.
-            seg = list(islice(replay_outcomes, S))
-            if len(seg) != S:
-                raise ConfigInvalid(f"replay needs {T} outcomes, got {b * S + len(seg)}")
-            counts = [0] * d
-            for x in seg:
-                counts[x - 1] += 1
-            tally = None
-            lv_seg = None
-            out_seg = seg if need_outcomes else None
-            dists: list[RationalDist] = []
+            laws, n = (None,), S
         elif adversary.constant_within_block:
-            dist = adversary.next(t_first, mixture=mix_rec)
-            dists = [dist]
-            octr, lctr, counts, tally, out_seg, lv_seg = _produce_const(
-                dist, S, d, L, sampled, need_outcomes, need_levels,
-                okey, octr, lkey, lctr,
-            )
+            laws, n = (adversary.next(t_first, level_keys),), S
         else:
-            counts = [0] * d
-            tally = [[0] * d for _ in range(L)] if sampled else None
-            out_seg = [] if need_outcomes else None
-            lv_seg = [] if need_levels else None
-            dists = []
-            for j in range(S):
-                dist = adversary.next(t_first + j, mixture=mix_rec)
-                dists.append(dist)
-                octr, lctr, c1, t1, o1, l1 = _produce_const(
-                    dist, 1, d, L, sampled, need_outcomes, need_levels,
+            laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S)]
+            n = 1
+        leaf = [0] * d
+        t = t_first
+        for law in laws:
+            if law is None:
+                # Pulled only now, after on_block has seen the block's keys.
+                out_seg = list(islice(replay_outcomes, S))
+                if len(out_seg) != S:
+                    raise ConfigInvalid(f"replay needs {T} outcomes, got {b * S + len(out_seg)}")
+                counts = [0] * d
+                for x in out_seg:
+                    counts[x - 1] += 1
+                tally = lv_seg = None
+            else:
+                octr, lctr, counts, tally, out_seg, lv_seg = _produce_const(
+                    law, n, d, L, sampled, need_outcomes, need_levels,
                     okey, octr, lkey, lctr,
                 )
-                for i in range(d):
-                    counts[i] += c1[i]
-                if sampled:
-                    for v in range(L):
+            # --- fold the segment into the aggregates ------------------------
+            for i in range(d):
+                leaf[i] += counts[i]
+            if tally is not None:
+                for v in range(L):
+                    row = tally[v]
+                    if any(row):
+                        vec = ece_tallies.setdefault(cur_kid[v], [0] * d)
                         for i in range(d):
-                            tally[v][i] += t1[v][i]
-                if out_seg is not None:
-                    out_seg.extend(o1)
-                if lv_seg is not None:
-                    lv_seg.extend(l1)
-
-        # --- fold the block into the aggregates ------------------------------
-        leaf_counts.append(counts)
+                            vec[i] += row[i]
+            if outcomes_all is not None:
+                outcomes_all.extend(out_seg)
+            if levels_all is not None:
+                levels_all.extend(lv_seg)
+            if on_day is not None:
+                for j in range(n):
+                    on_day(t + j, out_seg[j], None if lv_seg is None else lv_seg[j], law)
+            t += n
+        leaf_counts.append(leaf)
         for i in range(d):
-            totals[i] += counts[i]
-        if sampled and tally is not None:
-            for v in range(L):
-                row = tally[v]
-                if any(row):
-                    vec = ece_tallies.setdefault(cur_kid[v], [0] * d)
-                    for i in range(d):
-                        vec[i] += row[i]
-        if outcomes_all is not None:
-            outcomes_all.extend(out_seg)
-        if levels_all is not None:
-            levels_all.extend(lv_seg)
-        if on_day is not None:
-            for j in range(S):
-                on_day(
-                    t_first + j,
-                    out_seg[j],
-                    lv_seg[j] if lv_seg is not None else None,
-                    dists[0] if len(dists) == 1 else (dists[j] if dists else None),
-                )
+            totals[i] += leaf[i]
 
     if replaying and next(replay_outcomes, None) is not None:
         raise ConfigInvalid(f"replay needs {T} outcomes, got more")
@@ -324,7 +307,8 @@ def run_from_outcomes(
 
     `outcomes` may be any iterable, such as a generator decoding a transcript;
     it is consumed S days at a time, block b's days only after `on_block` has
-    seen block b's mixture.  Fewer or more than T outcomes raise ConfigInvalid.
+    seen block b's level keys.  Fewer or more than T outcomes raise
+    ConfigInvalid.
     """
     return _drive(
         cfg,

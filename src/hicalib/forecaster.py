@@ -181,10 +181,6 @@ class HierarchicalForecaster:
         ]
         self._day = 1
 
-    @property
-    def next_day(self) -> int:
-        return self._day
-
     def level_state(self, level: int) -> LevelState:
         return self.states[level - 1]
 
@@ -230,9 +226,3 @@ def sample_prediction(mix: MixtureRecord, stream: Stream) -> PredictionKey:
         if u < acc:
             return key
     raise AssertionError("mixture weights do not sum to 1")
-
-
-def sample_level(L: int, stream: Stream) -> int:
-    """Uniform level in [1, L]; the forecaster's per-day randomization."""
-    return stream.below(L) + 1
-

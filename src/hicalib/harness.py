@@ -8,10 +8,12 @@ Certification validates the header (format, ``rng``, ``T == S*H**L``, and
 a config that reads back through the run-config schema to exactly the
 recorded object), then reads the day records in one streaming pass that the
 engine's replay drives: each line is decoded once, its outcome feeds the
-replay, and its mixture and realized key are checked against the block's
-mixture the replay recomputed.  It then recomputes ``metrics.csv`` (DCE from
-the replay, ECE from the realized keys) and compares it byte for byte, and
-runs the full proof certificate on the rebuilt run.  Records are decoded
+replay, its mixture and realized key are checked against the block's
+mixture rebuilt from the replay's level keys, and a recorded ``adv_dist``
+must be the law that the header's adversary (rebuilt from the recorded
+config and seed) plays that day.  It then recomputes ``metrics.csv`` (DCE
+from the replay, ECE from the realized keys) and compares it byte for byte,
+and runs the full proof certificate on the rebuilt run.  Records are decoded
 strictly: bytes that are not UTF-8, any float, NaN, Infinity or boolean, a
 non-integer ``t`` or ``outcome``, a day record whose keys are not exactly
 the ones ``cmd_run`` writes (``t``, ``outcome``, ``mixture``, plus
@@ -34,7 +36,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import engine, metrics
+from . import engine, forecaster, metrics
 from .adversary import (
     AdaptiveArgminAdversary,
     EpsSchedule,
@@ -267,7 +269,8 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         block_state = {"mix": "", "realized": []}
 
-        def on_block(mixture, level_keys):
+        def on_block(t, level_keys):
+            mixture = forecaster.merge_mixture(t, level_keys, rc.cfg.L)
             block_state["mix"] = json.dumps([
                 [key.to_json(), [w.numerator, w.denominator]]
                 for key, w in mixture.entries
@@ -444,22 +447,26 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
                 day_keys.add("realized")
             if rc.record_adversary:
                 day_keys.add("adv_dist")
-            # The replay hands each block's mixture to on_block before it
+            # The replay hands each block's level keys to on_block before it
             # pulls the block's days from `days()`, which checks every
-            # recorded mixture and realized key against it as it decodes the
-            # line.  A mixture is canonicalised only when it differs from the
-            # previous day's and compared with the expected one only when
-            # either side changes; each distinct key fragment, in a mixture or
-            # a realized field, is canonicalised once.  Strict decoding makes
-            # these shortcuts reach the same verdict as checking every day
-            # afresh.
+            # recorded mixture and realized key against the block's mixture,
+            # and every recorded law against the one the header's adversary
+            # plays given those keys, as it decodes the line.  A mixture is
+            # canonicalised only when it differs from the previous day's and
+            # compared with the expected one only when either side changes;
+            # each distinct key fragment, in a mixture, a realized field or a
+            # law, is canonicalised once.  Strict decoding makes these
+            # shortcuts reach the same verdict as checking every day afresh.
+            adversary = make_adversary(rc) if rc.record_adversary else None
             expected: dict = {}
+            block_keys: tuple = ()
             mismatches = 0
             realized_tallies: dict = {}  # realized key -> outcome counts
 
-            def on_block(mixture, level_keys):
-                nonlocal expected
-                expected = dict(mixture.entries)
+            def on_block(t, level_keys):
+                nonlocal expected, block_keys
+                expected = dict(forecaster.merge_mixture(t, level_keys, cfg.L).entries)
+                block_keys = level_keys
 
             def days():
                 nonlocal mismatches
@@ -509,9 +516,15 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
                             if counts is None:
                                 counts = realized_tallies[realized] = [0] * d
                             counts[outcome - 1] += 1
+                        if adversary is not None:
+                            law = _memo_key(rec["adv_dist"], canonical)
                     except CorruptRecord as exc:
                         raise CorruptRecord(f"line {lineno}: {exc}") from None
-                    if not mix_ok or (sampled and realized not in expected):
+                    if (
+                        not mix_ok
+                        or (sampled and realized not in expected)
+                        or (adversary is not None and law != adversary.next(t, block_keys))
+                    ):
                         mismatches += 1
                     yield outcome
                 if t != T:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import fixed_stream
 from hicalib.adversary import (
@@ -18,7 +20,7 @@ from hicalib.adversary import (
     tuple_to_day,
 )
 from hicalib.errors import ConfigInvalid, MissingTauEntry, OutOfRange
-from hicalib.forecaster import MixtureRecord
+from hicalib.forecaster import merge_mixture
 from hicalib.simplex import make_rational_dist, point_mass, uniform
 
 ALL_SMALL = [(R, K) for R in (2, 3) for K in (1, 2, 3)]
@@ -170,7 +172,7 @@ class TestDayDistribution:
         tree = sample_tau_tree(cfg, fixed_stream(13))
         adv = HardSequenceAdversary(cfg, tree=tree)
         a = adv.next(1)
-        b = adv.next(1, mixture=MixtureRecord(1, ((uniform(cfg.d), Fraction(1)),)))
+        b = adv.next(1, (uniform(cfg.d),))
         assert a == b == day_distribution(tree, 1, cfg)
 
 
@@ -207,17 +209,50 @@ class TestSimpleAdversaries:
 
     def test_adaptive_argmin_picks_least_predicted(self):
         adv = AdaptiveArgminAdversary(d=2)
-        mix = MixtureRecord(1, ((make_rational_dist([7, 3], 10), Fraction(1)),))
-        assert adv.next(1, mixture=mix) == point_mass(2, 2)
+        assert adv.next(1, (make_rational_dist([7, 3], 10),)) == point_mass(2, 2)
 
     def test_adaptive_argmin_tie_breaks_low(self):
         adv = AdaptiveArgminAdversary(d=3)
-        mix = MixtureRecord(1, ((uniform(3), Fraction(1)),))
-        assert adv.next(1, mixture=mix) == point_mass(3, 1)
+        assert adv.next(1, (uniform(3),)) == point_mass(3, 1)
 
     def test_adaptive_requires_mixture(self):
         with pytest.raises(ConfigInvalid):
             AdaptiveArgminAdversary(d=2).next(1)
+
+    @given(st.data())
+    def test_adaptive_integer_argmin_matches_mixture_mass(self, data):
+        d = data.draw(st.sampled_from([2, 3, 8, 288]))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        pool = []
+        keys = []
+        for _ in range(data.draw(st.integers(1, 13))):
+            kind = data.draw(st.sampled_from(["repeat", "uniform", "small", "large"]))
+            if kind == "repeat" and pool:
+                key = rnd.choice(pool)
+            elif kind in ("repeat", "uniform"):
+                key = uniform(d)
+            else:
+                # small denominators leave zero numerators, hence ties
+                den = rnd.randint(1, 12 if kind == "small" else 2**70)
+                cuts = sorted(rnd.randint(0, den) for _ in range(d - 1))
+                key = make_rational_dist(
+                    [b - a for a, b in zip([0, *cuts], [*cuts, den])], den
+                )
+            pool.append(key)
+            keys.append(key)
+        assert AdaptiveArgminAdversary(d).next(1, tuple(keys)) == _mixture_mass_argmin(d, keys)
+
+
+def _mixture_mass_argmin(d, keys):
+    """Reference: Fraction mass of each coordinate under the day's mixture."""
+    scores = [Fraction(0)] * d
+    for key, w in merge_mixture(1, keys, len(keys)).entries:
+        den = key.denominator
+        for i, n in enumerate(key.numerators):
+            if n:
+                scores[i] += w * Fraction(n, den)
+    best = min(range(d), key=lambda i: (scores[i], i))
+    return point_mass(d, best + 1)
 
 
 class TestExports:

@@ -102,9 +102,8 @@ def test_replay_shows_each_block_mixture_before_pulling_its_days():
             events.append(("day", t))
             yield x
 
-    def on_block(mixture, level_keys):
-        events.append(("block", mixture.t))
-        assert mixture == merge_mixture(mixture.t, level_keys, cfg.L)
+    def on_block(t, level_keys):
+        events.append(("block", t))
 
     run_from_outcomes(cfg, outcomes(), on_block=on_block)
     expected = []

@@ -381,6 +381,34 @@ RECORDED_CORRUPTIONS = {
     "adv-dist-bool": _bool_adv_dist,
 }
 
+RECORDED_RUNS = {
+    "hard": (
+        "d = 16\nL = 1\nH = 4\nS = 1\nm = 2\nmode = sampled\nadversary = hard\n"
+        "hard_R = 2\nhard_K = 4\nrecord_adversary = true\n"
+    ),
+    "adaptive": SAMPLED_CFG.replace("adversary = iid\niid_q = 1,2,3\n", "adversary = adaptive_argmin\n")
+    + "record_adversary = true\n",
+}
+
+
+def _move_unit_of_adv_dist(recs):
+    # still a canonical law, but not the one the adversary plays on day 2
+    nums, _ = recs[2]["adv_dist"]
+    i = next(i for i, n in enumerate(nums) if n)
+    nums[i] -= 1
+    nums[(i + 1) % len(nums)] += 1
+
+
+def _unreduced_adv_dist(recs):
+    nums, den = recs[2]["adv_dist"]
+    recs[2]["adv_dist"] = [[2 * n for n in nums], 2 * den]
+
+
+RECORDED_LAW_EDITS = {
+    "moved-unit": (_move_unit_of_adv_dist, 1),
+    "non-canonical": (_unreduced_adv_dist, 2),
+}
+
 
 class TestCertifyStrict:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
@@ -400,6 +428,21 @@ class TestCertifyStrict:
             cmd_certify(str(tmp_path / "run"))
         assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", sorted(RECORDED_RUNS))
+    @pytest.mark.parametrize("edit", sorted(RECORDED_LAW_EDITS))
+    def test_recorded_law_must_be_the_adversarys(self, tmp_path, capsys, run, edit):
+        cmd_run(write_config(tmp_path, RECORDED_RUNS[run]), seed=3, out_dir=str(tmp_path / "run"))
+        assert consistency_of(tmp_path / "run") == (0.0, 0)
+        change, code = RECORDED_LAW_EDITS[edit]
+        rewrite(tmp_path / "run" / "transcript.jsonl", change)
+        if code == 1:
+            assert consistency_of(tmp_path / "run") == (1.0, 1)
+        else:
+            with pytest.raises(CorruptRecord):
+                cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == code
+        capsys.readouterr()
 
     def test_integer_too_long_to_decode_is_corrupt(self, tmp_path, capsys):
         # json refuses integers over 4,300 digits with a plain ValueError

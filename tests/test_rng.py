@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from hicalib import _kernel_py
-from hicalib._kernel_py import BATCH_MIN, CHUNK
+from hicalib._kernel_py import CHUNK
 from hicalib.adversary import sample_outcome
 from hicalib.rng import GOLDEN, MASK64, Stream, draw_u64, mix64, stream_key
 from hicalib.simplex import make_rational_dist
@@ -116,9 +116,9 @@ def test_kernel_matches_stream_reference(den):
     _check_sim_days(11, 5, 300, [1, den // 3, den - 1 - den // 3], 22, 2, 3)
 
 
-# Day counts on both sides of the scalar cut, one batch, and more than one
-# chunk of lanes.
-EDGE_DAYS = [0, 1, BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, 100, CHUNK, CHUNK + BATCH_MIN + 3]
+# Day counts from none, through batches of a few lanes and one full chunk,
+# to more than one chunk of lanes.
+EDGE_DAYS = [0, 1, 7, 8, 9, 100, CHUNK, CHUNK + 11]
 
 
 @pytest.mark.parametrize("n_days", EDGE_DAYS)
@@ -130,14 +130,14 @@ def test_kernel_block_sizes_match_stream_reference(n_days):
     assert _kernel_py.draw_level_counts(4, 7, n_days, 5, True) == (s.counter, counts, seq)
 
 
-@pytest.mark.parametrize("n_days", [1, BATCH_MIN + 1, 300])
+@pytest.mark.parametrize("n_days", [1, 9, 300])
 def test_kernel_counters_wrap_near_2_64(n_days):
     # key + GOLDEN·ctr wraps mod 2**64 at once, and the counter itself runs
     # past 2**64
     _check_sim_days(MASK64, MASK64 - 2, n_days, [1, 2, 4], MASK64 - 1, MASK64, 3)
 
 
-@pytest.mark.parametrize("n_days", [1, BATCH_MIN + 1, 300])
+@pytest.mark.parametrize("n_days", [1, 9, 300])
 def test_kernel_single_level(n_days):
     *_, levels = _check_sim_days(3, 0, n_days, [1, 4], 9, 0, 1)
     assert levels == [0] * n_days
@@ -168,7 +168,7 @@ def test_kernel_rejections_inside_and_at_end_of_a_chunk():
 
 
 @pytest.mark.parametrize("key", [0, MASK64])
-@pytest.mark.parametrize("n", [1, 2, 7, BATCH_MIN, 100, CHUNK])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 100, CHUNK])
 def test_lane_words_match_draw_u64(key, n):
     for ctr in (0, 12345, MASK64 - 3):
         want = [draw_u64(key, ctr + i) for i in range(1, n + 1)]

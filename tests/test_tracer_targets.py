@@ -2,9 +2,11 @@
 
 `perfbench/tracer.py` replaces each `(owner, attr)` of its `_targets()` in
 `owner.__dict__`; a refactor that moves or renames one of them breaks
-`perfbench/run.py --trace 1`.  This loads the tracer by path (it is not a
-package on the test path) and checks every target, the install/restore
-round trip, and the counts one traced certificate reports.
+`perfbench/run.py --trace 1`, and a call that bypasses the patched name
+goes uncounted.  This loads the tracer by path (it is not a package on the
+test path) and checks every target, the install/restore round trip, and
+the counts that one traced certificate, simulation and `hicalib run`
+report.
 """
 
 import importlib.util
@@ -12,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from hicalib import certificate
-from hicalib.adversary import IIDAdversary
+from hicalib import certificate, engine, harness
+from hicalib.adversary import AdaptiveArgminAdversary, IIDAdversary
 from hicalib.engine import simulate
 from hicalib.forecaster import ForecastConfig
 from hicalib.simplex import uniform
@@ -64,3 +66,20 @@ def test_certificate_counts(tracer_mod):
     assert tracer.op_layers(0)["forecaster.predictions"] == sum(
         1 + cfg.H**level for level in range(1, cfg.L + 1)
     )
+
+
+def test_simulation_builds_no_mixture(tracer_mod):
+    cfg = ForecastConfig(d=2, L=3, H=2, S=1, m=1)
+    tracer = tracer_mod.Tracer()
+    tracer.run_op(0, engine.simulate, cfg, AdaptiveArgminAdversary(cfg.d), 0)
+    layers = tracer.op_layers(0)
+    assert layers.get("forecaster.mixtures", 0) == 0
+    assert layers["adversary.next_calls"] == cfg.H**cfg.L  # one per block
+
+
+def test_transcript_writer_builds_one_mixture_per_block(tracer_mod, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("d = 2\nL = 2\nH = 3\nS = 2\nm = 1\nmode = sampled\n", encoding="utf-8")
+    tracer = tracer_mod.Tracer()
+    tracer.run_op(0, harness.cmd_run, str(cfg_path), 1, str(tmp_path / "run"))
+    assert tracer.op_layers(0)["forecaster.mixtures"] == 3**2
