@@ -30,8 +30,10 @@ for desk-scale horizons (or when a sink consumes them streaming).
 Sinks: at the start of every block, `on_block(t_first, level_keys)`
 receives the block's first day and its level keys, fixed for the S days
 (a sink that writes or checks the day's mixture builds it with
-`forecaster.merge_mixture`); `on_day(t, outcome, level, law)` then sees
-each of the block's days, with `law` None in a replay.
+`forecaster.merge_mixture`); `on_day(t_first, outcomes, levels, law)` then
+sees each of the block's segments once: its first day, its outcomes, the
+realized level index of each day (None in distributional mode) and the
+outcome law the segment was drawn from.
 `run_from_outcomes` replays a recorded outcome history from any iterable,
 pulling S outcomes per block only after `on_block` has seen that block's
 keys, so a caller can check a transcript line by line as the replay
@@ -216,8 +218,7 @@ def _drive(
             if levels_all is not None:
                 levels_all.extend(lv_seg)
             if on_day is not None:
-                for j in range(n):
-                    on_day(t + j, out_seg[j], None if lv_seg is None else lv_seg[j], law)
+                on_day(t, out_seg, lv_seg, law)
             t += n
         leaf_counts.append(leaf)
         for i in range(d):

@@ -252,12 +252,6 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     adversary = make_adversary(rc)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        fh = open(transcript_path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot write {transcript_path} ({exc.strerror})") from None
-
     header = {
         "T": rc.cfg.T,
         "config": rc.config_dict(),
@@ -265,50 +259,52 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
         "rng": RNG_ID,
     }
     sampled = rc.mode == "sampled"
-    with fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        block_state = {"mix": "", "realized": []}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(transcript_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            mix_frag, realized_frags = "", []
 
-        def on_block(t, level_keys):
-            mixture = forecaster.merge_mixture(t, level_keys, rc.cfg.L)
-            block_state["mix"] = json.dumps([
-                [key.to_json(), [w.numerator, w.denominator]]
-                for key, w in mixture.entries
-            ])
-            block_state["realized"] = [json.dumps(key.to_json()) for key in level_keys]
+            def on_block(t, level_keys):
+                nonlocal mix_frag, realized_frags
+                mixture = forecaster.merge_mixture(t, level_keys, rc.cfg.L)
+                mix_frag = json.dumps([
+                    [key.to_json(), [w.numerator, w.denominator]] for key, w in mixture.entries
+                ])
+                realized_frags = [json.dumps(key.to_json()) for key in level_keys]
 
-        dist_frags: dict = {}
+            def on_day(t_first, outcomes, levels, law):
+                law_frag = json.dumps(law.to_json()) if rc.record_adversary else None
+                fh.write(_day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag))
 
-        def on_day(t, outcome, level, dist):
-            parts = []
-            if rc.record_adversary and dist is not None:
-                frag = dist_frags.get(dist)
-                if frag is None:
-                    if len(dist_frags) > 64:
-                        dist_frags.clear()
-                    frag = dist_frags[dist] = json.dumps(dist.to_json())
-                parts.append(f'"adv_dist": {frag}')
-            parts.append(f'"mixture": {block_state["mix"]}')
-            parts.append(f'"outcome": {outcome}')
-            if sampled:
-                parts.append(f'"realized": {block_state["realized"][level]}')
-            parts.append(f'"t": {t}')
-            fh.write("{" + ", ".join(parts) + "}\n")
-
-        run = engine.simulate(
-            rc.cfg,
-            adversary,
-            rc.seed,
-            mode=rc.mode,
-            retain_outcomes=False,
-            on_block=on_block,
-            on_day=on_day,
-        )
+            run = engine.simulate(
+                rc.cfg, adversary, rc.seed, mode=rc.mode, retain_outcomes=False,
+                on_block=on_block, on_day=on_day,
+            )
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {transcript_path} ({exc.strerror})") from None
 
     dce_val = engine.dce_value(run)
     ece_val = engine.ece_value(run) if sampled else None
     _write_text(metrics_path, _csv_text(_metrics_rows(rc, dce_val, ece_val)))
     return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
+
+
+def _day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag) -> str:
+    """The transcript lines of one segment, days t_first, t_first + 1, ...
+
+    `mix_frag` is the block's serialised mixture and `realized_frags` its
+    serialised level keys, level 1 first; `levels` holds each day's realized
+    level index (None in distributional mode) and `law_frag` the serialised
+    outcome law (None unless the run records the adversary).
+    """
+    head = "{" if law_frag is None else f'{{"adv_dist": {law_frag}, '
+    head += f'"mixture": {mix_frag}, "outcome": '
+    days = range(t_first, t_first + len(outcomes))
+    if levels is None:
+        return "".join(f'{head}{x}, "t": {t}}}\n' for t, x in zip(days, outcomes))
+    tails = [f', "realized": {r}, "t": ' for r in realized_frags]
+    return "".join(f"{head}{x}{tails[v]}{t}}}\n" for t, x, v in zip(days, outcomes, levels))
 
 
 def _metrics_rows(rc: RunConfig, dce_val: float, ece_val: float | None) -> list[list[str]]:

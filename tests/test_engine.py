@@ -8,6 +8,7 @@ from hicalib.adversary import (
     HardSeqConfig,
     HardSequenceAdversary,
     IIDAdversary,
+    day_distribution,
     sample_outcome,
     sample_tau_tree,
 )
@@ -111,6 +112,31 @@ def test_replay_shows_each_block_mixture_before_pulling_its_days():
         expected.append(("block", b * cfg.S + 1))
         expected.extend(("day", b * cfg.S + j) for j in range(1, cfg.S + 1))
     assert events == expected
+
+
+def test_on_day_sees_each_iid_block_as_one_segment():
+    cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
+    q = make_rational_dist([1, 2, 3], 6)
+    calls = []
+    run = simulate(cfg, IIDAdversary(q), seed=5, mode="sampled",
+                   on_day=lambda *args: calls.append(args))
+    assert [c[0] for c in calls] == list(range(1, cfg.T + 1, cfg.S))  # H**L segments
+    assert all(len(c[1]) == len(c[2]) == cfg.S and c[3] == q for c in calls)
+    assert [x for c in calls for x in c[1]] == run.outcomes
+    assert [v for c in calls for v in c[2]] == run.realized_levels
+
+
+def test_on_day_sees_each_hard_day_as_its_own_segment():
+    hcfg = HardSeqConfig(R=2, K=6)  # d=24, T=6
+    cfg = ForecastConfig(d=hcfg.d, L=1, H=2, S=3, m=1)
+    tree = sample_tau_tree(hcfg, fixed_stream(45))
+    calls = []
+    run = simulate(cfg, HardSequenceAdversary(hcfg, tree=tree), seed=6,
+                   on_day=lambda *args: calls.append(args))
+    assert [c[0] for c in calls] == list(range(1, cfg.T + 1))
+    assert [c[1] for c in calls] == [[x] for x in run.outcomes]
+    assert all(c[2] is None for c in calls)  # distributional mode draws no levels
+    assert [c[3] for c in calls] == [day_distribution(tree, t, hcfg) for t in range(1, cfg.T + 1)]
 
 
 def test_simulation_is_deterministic():

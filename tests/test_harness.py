@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -821,10 +822,17 @@ class TestCli:
                                       "concentration-dir-config", "run-out-is-file",
                                       "run-out-dir-transcript", "run-out-dir-metrics",
                                       "certify-dir-certificate-json",
-                                      "certify-dir-certificate-csv"])
+                                      "certify-dir-certificate-csv",
+                                      "run-transcript-disk-full"])
     def test_path_shaped_input_exits_2(self, tmp_path, capsys, case):
         # A directory where a file should be, or a file where the run
-        # directory should be, ends in a HicalibError, not a traceback.
+        # directory should be, ends in a HicalibError, not a traceback; so
+        # does a transcript that cannot be written because the disk is full.
+        if case == "run-transcript-disk-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            (tmp_path / "full").mkdir()
+            (tmp_path / "full" / "transcript.jsonl").symlink_to("/dev/full")
         cfg_path = write_config(tmp_path, BASE_CFG)
         a_dir = tmp_path / "a_dir"
         a_dir.mkdir()
@@ -851,6 +859,8 @@ class TestCli:
                                              str(tmp_path / "done-certificate.json")],
             "certify-dir-certificate-csv": ["certify", "--run",
                                             str(tmp_path / "done-certificate.csv")],
+            "run-transcript-disk-full": ["run", "--config", cfg_path, "--seed", "1",
+                                         "--out", str(tmp_path / "full")],
         }[case]
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err

@@ -83,3 +83,7 @@ def test_transcript_writer_builds_one_mixture_per_block(tracer_mod, tmp_path):
     tracer = tracer_mod.Tracer()
     tracer.run_op(0, harness.cmd_run, str(cfg_path), 1, str(tmp_path / "run"))
     assert tracer.op_layers(0)["forecaster.mixtures"] == 3**2
+    # The tracer finds the sinks by their keyword names; under another name
+    # writing would be billed to the engine without an error.
+    assert {"harness.on_block", "harness.on_day"} <= {tracer.names[i] for i in tracer.name_ids}
+    assert tracer.op_layers(0)["harness.write_s"] > 0
