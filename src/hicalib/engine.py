@@ -13,8 +13,7 @@ those keys through `next(t, level_keys)`.  A block's days form segments of
 one outcome law each, simulated by one kernel call: one S-day segment when
 the adversary is constant within a block, otherwise S one-day segments; a
 replay's block is one segment of its S recorded outcomes, with no law.  One
-fold adds every segment to the leaf counts, totals, ECE tallies and
-retained lists.
+fold adds every segment to the leaf counts, totals and ECE tallies.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -24,8 +23,9 @@ run a pure function of (config, adversary, seed, trial, mode).
 
 The aggregate RunResult carries everything the metrics and certificate
 modules need: per-leaf outcome counts, the key of every level iteration,
-and exact integer tallies for DCE/ECE; per-day outcomes are retained only
-for desk-scale horizons (or when a sink consumes them streaming).
+and exact integer tallies for DCE/ECE.  It holds nothing per day: per-day
+outcomes and levels leave the engine only through the `on_day` sink, and a
+run without one asks the kernel for counts only.
 
 Sinks: at the start of every block, `on_block(t_first, level_keys)`
 receives the block's first day and its level keys, fixed for the S days
@@ -58,9 +58,6 @@ from .metrics import DayRecord, Transcript
 from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
 from .simplex import PredictionKey
 
-RETAIN_LIMIT = 1 << 20
-
-
 @dataclass
 class RunResult:
     """Aggregate view of one completed run."""
@@ -75,8 +72,6 @@ class RunResult:
     leaf_counts: list[list[int]]
     dce_tallies: dict[int, list[int]]
     ece_tallies: dict[int, list[int]] | None
-    outcomes: list[int] | None
-    realized_levels: list[int] | None
 
     @property
     def T(self) -> int:
@@ -98,7 +93,6 @@ def _drive(
     mode: str,
     adversary=None,
     replay_outcomes: Iterable[int] | None = None,
-    retain_outcomes: bool | None = None,
     on_block: Callable | None = None,
     on_day: Callable | None = None,
 ) -> RunResult:
@@ -111,9 +105,7 @@ def _drive(
     replaying = replay_outcomes is not None
     if replaying:
         replay_outcomes = iter(replay_outcomes)
-    if retain_outcomes is None:
-        retain_outcomes = T <= RETAIN_LIMIT
-    need_outcomes = retain_outcomes or on_day is not None
+    need_outcomes = on_day is not None
     need_levels = sampled and need_outcomes
 
     okey, octr = stream_key(seed, ROLE_OUTCOME, trial), 0
@@ -135,8 +127,6 @@ def _drive(
     dce_tallies: dict[int, list[int]] = {}
     ece_tallies: dict[int, list[int]] | None = {} if sampled else None
     leaf_counts: list[list[int]] = []
-    outcomes_all: list[int] | None = [] if retain_outcomes else None
-    levels_all: list[int] | None = [] if (sampled and retain_outcomes) else None
 
     def intern(key: PredictionKey) -> int:
         kid = key_index.get(key)
@@ -213,10 +203,6 @@ def _drive(
                         vec = ece_tallies.setdefault(cur_kid[v], [0] * d)
                         for i in range(d):
                             vec[i] += row[i]
-            if outcomes_all is not None:
-                outcomes_all.extend(out_seg)
-            if levels_all is not None:
-                levels_all.extend(lv_seg)
             if on_day is not None:
                 on_day(t, out_seg, lv_seg, law)
             t += n
@@ -240,8 +226,6 @@ def _drive(
         leaf_counts=leaf_counts,
         dce_tallies=dce_tallies,
         ece_tallies=ece_tallies,
-        outcomes=outcomes_all,
-        realized_levels=levels_all,
     )
 
 
@@ -282,7 +266,6 @@ def simulate(
     seed: int,
     mode: str = "distributional",
     trial: int = 0,
-    retain_outcomes: bool | None = None,
     on_block: Callable | None = None,
     on_day: Callable | None = None,
 ) -> RunResult:
@@ -293,7 +276,6 @@ def simulate(
         trial,
         mode,
         adversary=adversary,
-        retain_outcomes=retain_outcomes,
         on_block=on_block,
         on_day=on_day,
     )
@@ -350,11 +332,17 @@ def ece_value(run: RunResult) -> float:
     return ece_of_tallies({run.keys[kid]: vec for kid, vec in run.ece_tallies.items()})
 
 
-def expand_to_transcript(run: RunResult) -> Transcript:
-    """Materialize per-day records; requires retained outcomes (desk-scale runs)."""
-    if run.outcomes is None:
-        raise ConfigInvalid("outcomes were not retained for this run")
+def expand_to_transcript(
+    run: RunResult, outcomes: list[int], levels: list[int] | None = None
+) -> Transcript:
+    """Materialize per-day records from the lists an `on_day` sink recorded.
+
+    `outcomes` holds the run's T outcomes and `levels`, in sampled mode, each
+    day's realized level index.  For tests and desk-scale inspection only.
+    """
     cfg = run.cfg
+    if len(outcomes) != cfg.T:
+        raise ConfigInvalid(f"expansion needs {cfg.T} outcomes, got {len(outcomes)}")
     S = cfg.S
     days: list[DayRecord] = []
     cached_b = -1
@@ -367,13 +355,13 @@ def expand_to_transcript(run: RunResult) -> Transcript:
             kid_by_level = run.block_key_ids(b)
             mix = merge_mixture(t, (run.keys[kid] for kid in kid_by_level), cfg.L).entries
         realized = None
-        if run.realized_levels is not None:
-            realized = run.keys[kid_by_level[run.realized_levels[t - 1]]]
+        if levels is not None:
+            realized = run.keys[kid_by_level[levels[t - 1]]]
         days.append(
             DayRecord(
                 t=t,
                 mixture=MixtureRecord(t, mix),
-                outcome=run.outcomes[t - 1],
+                outcome=outcomes[t - 1],
                 realized=realized,
             )
         )

@@ -143,6 +143,11 @@ def _parse_iid_q(text: str, d: int) -> RationalDist:
     return make_rational_dist(units, total)
 
 
+def _check_day_budget(T: int, hint: str = "") -> None:
+    if T > DEFAULT_DAY_BUDGET:
+        raise ConfigInvalid(f"T = {T} exceeds the default day budget {DEFAULT_DAY_BUDGET}{hint}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     cfg: ForecastConfig
@@ -212,6 +217,10 @@ def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> Ru
             raise ConfigInvalid(f"hard adversary T = {hard.T} != forecaster T = {cfg.T}")
     else:
         raise ConfigInvalid(f"unknown adversary {kind!r}")
+    own = {"iid": {"iid_q"}, "hard": {"hard_R", "hard_K"}}.get(kind, set())
+    stray = sorted({"iid_q", "hard_R", "hard_K"}.difference(own).intersection(kv))
+    if stray:
+        raise ConfigInvalid(f"key {stray[0]!r} does not apply to adversary {kind!r}")
     record = kv.get("record_adversary", "false").lower()
     if record not in ("true", "false"):
         raise ConfigInvalid("record_adversary must be true or false")
@@ -244,11 +253,8 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
     """Simulate one run and persist transcript JSONL plus a metrics CSV row."""
     kv = parse_config_file(config_path, RUN_KEYS)
     rc = build_run_config(kv, seed_override=seed)
-    if rc.cfg.T > DEFAULT_DAY_BUDGET and not allow_large:
-        raise ConfigInvalid(
-            f"T = {rc.cfg.T} exceeds the default day budget {DEFAULT_DAY_BUDGET}; "
-            "pass --allow-large to opt in"
-        )
+    if not allow_large:
+        _check_day_budget(rc.cfg.T, "; pass --allow-large to opt in")
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     adversary = make_adversary(rc)
@@ -278,8 +284,7 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
                 fh.write(_day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag))
 
             run = engine.simulate(
-                rc.cfg, adversary, rc.seed, mode=rc.mode, retain_outcomes=False,
-                on_block=on_block, on_day=on_day,
+                rc.cfg, adversary, rc.seed, mode=rc.mode, on_block=on_block, on_day=on_day,
             )
     except OSError as exc:
         raise ConfigInvalid(f"cannot write {transcript_path} ({exc.strerror})") from None
@@ -309,10 +314,7 @@ def _day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag) ->
 
 def _metrics_rows(rc: RunConfig, dce_val: float, ece_val: float | None) -> list[list[str]]:
     """The rows of a run's metrics.csv: the column names, then the one run."""
-    row = metrics_csv_row(
-        rc.run_id, rc.seed, rc.cfg, rc.adversary_kind, dce_val,
-        ece_mean=ece_val, ece_stderr=None, trials=1,
-    )
+    row = metrics_csv_row(rc.run_id, rc.seed, rc.cfg, rc.adversary_kind, dce_val, ece_val)
     return [METRICS_CSV_COLUMNS, [row[c] for c in METRICS_CSV_COLUMNS]]
 
 
@@ -605,6 +607,7 @@ def cmd_lowerbound(
     if trials < 2:
         raise ConfigInvalid(f"need trials >= 2, got {trials}")
     hcfg = HardSeqConfig(R=R, K=K)
+    _check_day_budget(hcfg.T)
     fcfg = None
     if forecaster == "hierarchical":
         L, H, S = _factor_horizon(hcfg.T)
@@ -614,7 +617,7 @@ def cmd_lowerbound(
         tree = sample_tau_tree(hcfg, derive_stream(seed, ROLE_TAU, trial))
         if forecaster == "hierarchical":
             adv = HardSequenceAdversary(hcfg, tree=tree)
-            run = engine.simulate(fcfg, adv, seed, trial=trial, retain_outcomes=False)
+            run = engine.simulate(fcfg, adv, seed, trial=trial)
             values.append(engine.dce_value(run))
             continue
         ostream = derive_stream(seed, ROLE_OUTCOME, trial)
@@ -761,9 +764,7 @@ def concentration_arm(cfg: ForecastConfig, q: RationalDist, seed: int, trials: i
     gaps = []
     adv = IIDAdversary(q)
     for trial in range(trials):
-        run = engine.simulate(
-            cfg, adv, seed, mode="sampled", trial=trial, retain_outcomes=False
-        )
+        run = engine.simulate(cfg, adv, seed, mode="sampled", trial=trial)
         gap = abs(engine.ece_value(run) - engine.dce_value(run)) / cfg.T
         gaps.append(gap)
     mean = sum(gaps) / trials
@@ -790,8 +791,10 @@ def cmd_concentration(config_path: str, trials: int, seed: int) -> Concentration
     if s_low >= s_high:
         raise ConfigInvalid(f"S_low must be < S_high, got {s_low} >= {s_high}")
     q = _parse_iid_q(kv["iid_q"], d) if "iid_q" in kv else uniform(d)
-    low = concentration_arm(ForecastConfig(S=s_low, **base), q, seed, trials)
-    high = concentration_arm(ForecastConfig(S=s_high, **base), q, seed, trials)
+    low_cfg, high_cfg = ForecastConfig(S=s_low, **base), ForecastConfig(S=s_high, **base)
+    _check_day_budget(high_cfg.T)  # the longer arm, as S_low < S_high
+    low = concentration_arm(low_cfg, q, seed, trials)
+    high = concentration_arm(high_cfg, q, seed, trials)
     sep = math.sqrt(low.stderr**2 + high.stderr**2)
     decreasing = low.mean_gap_per_day - high.mean_gap_per_day >= 3 * sep
     bound = 5.0 / base["m"]

@@ -258,10 +258,8 @@ def metrics_csv_row(
     adversary: str,
     dce_value: float,
     ece_mean: float | None = None,
-    ece_stderr: float | None = None,
-    trials: int = 1,
 ) -> dict[str, str]:
-    fmt = lambda v: "" if v is None else repr(v)
+    """The metrics.csv row of one run; `ece_stderr` is empty and `trials` 1."""
     return {
         "run_id": run_id,
         "seed": str(seed),
@@ -274,7 +272,7 @@ def metrics_csv_row(
         "adversary": adversary,
         "dce": repr(dce_value),
         "dce_per_day": repr(dce_value / cfg.T),
-        "ece_mean": fmt(ece_mean),
-        "ece_stderr": fmt(ece_stderr),
-        "trials": str(trials),
+        "ece_mean": "" if ece_mean is None else repr(ece_mean),
+        "ece_stderr": "",
+        "trials": "1",
     }

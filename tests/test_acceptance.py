@@ -66,7 +66,7 @@ class Sweep:
             else:
                 adv = AdaptiveArgminAdversary(cfg.d)
             t0 = time.monotonic()
-            run = simulate(cfg, adv, seed=31000 + i, retain_outcomes=False)
+            run = simulate(cfg, adv, seed=31000 + i)
             self.sim_seconds += time.monotonic() - t0
             self.runs.append(run)
         # the randomized sweep must actually span every parameter value

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fixed_stream, random_dist
+from conftest import fixed_stream, random_dist, simulate_recorded
 from hicalib.adversary import AdaptiveArgminAdversary, IIDAdversary
 from hicalib.certificate import (
     RunView,
@@ -192,8 +192,8 @@ class TestRecomputation:
 
     def test_tampered_outcome_breaks_certificate(self):
         cfg = ForecastConfig(d=2, L=2, H=2, S=2, m=1)
-        run = simulate(cfg, IIDAdversary(uniform(2)), seed=11)
-        flipped = list(run.outcomes)
+        run, outcomes, _ = simulate_recorded(cfg, IIDAdversary(uniform(2)), seed=11)
+        flipped = list(outcomes)
         flipped[3] = 3 - flipped[3]
         replay = run_from_outcomes(cfg, flipped)
         # replay is self-consistent, but its keys differ from the original run
@@ -218,7 +218,7 @@ def test_aggregated_dce_equals_metric_on_any_history(outcomes):
     from hicalib.metrics import dce
 
     run = run_from_outcomes(PATHWISE_CFG, outcomes)
-    assert dce(expand_to_transcript(run)) == dce_value(run)
+    assert dce(expand_to_transcript(run, outcomes)) == dce_value(run)
 
 
 class TestReportShape:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixed_stream, random_dist
+from conftest import fixed_stream, random_dist, simulate_recorded
+from hicalib import _kernel_py
 from hicalib.adversary import (
     AdaptiveArgminAdversary,
     HardSeqConfig,
@@ -44,43 +45,48 @@ def adversaries_for(cfg, tag):
 @pytest.mark.parametrize("cfg", SMALL_CONFIGS)
 def test_engine_agrees_with_reference_forecaster(cfg):
     for tag, adv in enumerate(adversaries_for(cfg, 900)):
-        run = simulate(cfg, adv, seed=50 + tag, mode="sampled")
+        run, outcomes, _ = simulate_recorded(cfg, adv, seed=50 + tag, mode="sampled")
         fc = HierarchicalForecaster(cfg)
         for t in range(1, cfg.T + 1):
             mix = fc.mixture()
             b = (t - 1) // cfg.S
             eng = merge_mixture(t, (run.keys[kid] for kid in run.block_key_ids(b)), cfg.L)
             assert mix.entries == eng.entries, f"t={t} adversary={adv.name}"
-            fc.observe(run.outcomes[t - 1], t)
+            fc.observe(outcomes[t - 1], t)
 
 
 @pytest.mark.parametrize("cfg", SMALL_CONFIGS)
 def test_aggregates_match_transcript_metrics(cfg):
     for tag, adv in enumerate(adversaries_for(cfg, 910)):
-        run = simulate(cfg, adv, seed=80 + tag, mode="sampled")
-        tr = expand_to_transcript(run)
+        run, outcomes, levels = simulate_recorded(cfg, adv, seed=80 + tag, mode="sampled")
+        tr = expand_to_transcript(run, outcomes, levels)
         tr.validate()
         assert dce(tr) == dce_value(run)
         assert oracle_dce_direct(tr) == pytest.approx(dce_value(run), abs=1e-12)
         assert ece_trajectory(tr) == ece_value(run)
 
 
-@pytest.mark.parametrize("cfg", SMALL_CONFIGS[:3])
-def test_replay_reproduces_run(cfg):
-    adv = IIDAdversary(uniform(cfg.d))
-    run = simulate(cfg, adv, seed=7, mode="sampled")
-    replay = run_from_outcomes(cfg, run.outcomes)
+def assert_replay_matches(run, outcomes):
+    """The replay of a run's recorded outcomes rebuilds the run's aggregates."""
+    replay = run_from_outcomes(run.cfg, outcomes)
     assert replay.keys == run.keys
     assert replay.level_iter_keys == run.level_iter_keys
     assert replay.leaf_counts == run.leaf_counts
     assert replay.dce_tallies == run.dce_tallies
 
 
+@pytest.mark.parametrize("cfg", SMALL_CONFIGS[:3])
+def test_replay_reproduces_run(cfg):
+    adv = IIDAdversary(uniform(cfg.d))
+    run, outcomes, _ = simulate_recorded(cfg, adv, seed=7, mode="sampled")
+    assert_replay_matches(run, outcomes)
+
+
 def test_replay_from_generator_equals_replay_from_list():
     cfg = ForecastConfig(d=3, L=2, H=3, S=2, m=2)
-    run = simulate(cfg, IIDAdversary(uniform(3)), seed=8)
-    from_list = run_from_outcomes(cfg, run.outcomes)
-    from_gen = run_from_outcomes(cfg, (x for x in run.outcomes))
+    _, outcomes, _ = simulate_recorded(cfg, IIDAdversary(uniform(3)), seed=8)
+    from_list = run_from_outcomes(cfg, outcomes)
+    from_gen = run_from_outcomes(cfg, (x for x in outcomes))
     assert from_gen == from_list
 
 
@@ -95,11 +101,11 @@ def test_replay_needs_exactly_T_outcomes(n):
 
 def test_replay_shows_each_block_mixture_before_pulling_its_days():
     cfg = ForecastConfig(d=2, L=2, H=2, S=3, m=1)
-    run = simulate(cfg, IIDAdversary(uniform(2)), seed=4)
+    _, recorded, _ = simulate_recorded(cfg, IIDAdversary(uniform(2)), seed=4)
     events = []
 
     def outcomes():
-        for t, x in enumerate(run.outcomes, 1):
+        for t, x in enumerate(recorded, 1):
             events.append(("day", t))
             yield x
 
@@ -122,8 +128,10 @@ def test_on_day_sees_each_iid_block_as_one_segment():
                    on_day=lambda *args: calls.append(args))
     assert [c[0] for c in calls] == list(range(1, cfg.T + 1, cfg.S))  # H**L segments
     assert all(len(c[1]) == len(c[2]) == cfg.S and c[3] == q for c in calls)
-    assert [x for c in calls for x in c[1]] == run.outcomes
-    assert [v for c in calls for v in c[2]] == run.realized_levels
+    outcomes = [x for c in calls for x in c[1]]
+    levels = [v for c in calls for v in c[2]]
+    assert_replay_matches(run, outcomes)
+    assert ece_trajectory(expand_to_transcript(run, outcomes, levels)) == ece_value(run)
 
 
 def test_on_day_sees_each_hard_day_as_its_own_segment():
@@ -134,45 +142,74 @@ def test_on_day_sees_each_hard_day_as_its_own_segment():
     run = simulate(cfg, HardSequenceAdversary(hcfg, tree=tree), seed=6,
                    on_day=lambda *args: calls.append(args))
     assert [c[0] for c in calls] == list(range(1, cfg.T + 1))
-    assert [c[1] for c in calls] == [[x] for x in run.outcomes]
+    assert all(len(c[1]) == 1 for c in calls)
+    assert_replay_matches(run, [x for c in calls for x in c[1]])
     assert all(c[2] is None for c in calls)  # distributional mode draws no levels
     assert [c[3] for c in calls] == [day_distribution(tree, t, hcfg) for t in range(1, cfg.T + 1)]
+
+
+@pytest.mark.parametrize("adversary", ["iid", "adaptive"])
+def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adversary):
+    # No per-day list leaves the engine except through on_day, so a run
+    # without one, at any T, asks the kernel for neither outcomes nor levels.
+    flags = []
+    sim_days, draw_level_counts = _kernel_py.sim_days, _kernel_py.draw_level_counts
+
+    def spy_sim_days(*args):
+        flags.append(args[-2:])
+        return sim_days(*args)
+
+    def spy_draw_level_counts(*args):
+        flags.append((None, args[-1]))
+        return draw_level_counts(*args)
+
+    monkeypatch.setattr(_kernel_py, "sim_days", spy_sim_days)
+    monkeypatch.setattr(_kernel_py, "draw_level_counts", spy_draw_level_counts)
+    cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
+    adv = IIDAdversary(uniform(3)) if adversary == "iid" else AdaptiveArgminAdversary(3)
+    run = simulate(cfg, adv, seed=12, mode="sampled")
+    assert flags and set(flags) <= {(False, False), (None, False)}
+    flags.clear()
+    _, outcomes, levels = simulate_recorded(cfg, adv, seed=12, mode="sampled")
+    assert flags and set(flags) <= {(True, True), (None, True)}
+    assert_replay_matches(run, outcomes)
+    assert ece_trajectory(expand_to_transcript(run, outcomes, levels)) == ece_value(run)
 
 
 def test_simulation_is_deterministic():
     cfg = ForecastConfig(d=3, L=2, H=3, S=2, m=1)
     adv = lambda: IIDAdversary(random_dist(fixed_stream(33), 3, full_support=True))
-    a = simulate(cfg, adv(), seed=99, mode="sampled")
-    b = simulate(cfg, adv(), seed=99, mode="sampled")
-    assert a.outcomes == b.outcomes
-    assert a.realized_levels == b.realized_levels
+    a, a_out, a_lv = simulate_recorded(cfg, adv(), seed=99, mode="sampled")
+    b, b_out, b_lv = simulate_recorded(cfg, adv(), seed=99, mode="sampled")
+    assert a_out == b_out
+    assert a_lv == b_lv
     assert a.dce_tallies == b.dce_tallies
 
 
 def test_trials_are_independent_streams():
     cfg = ForecastConfig(d=2, L=1, H=4, S=2, m=1)
     adv = IIDAdversary(uniform(2))
-    a = simulate(cfg, adv, seed=99, trial=0)
-    b = simulate(cfg, adv, seed=99, trial=1)
-    assert a.outcomes != b.outcomes  # overwhelmingly likely for T=8 draws
+    _, a, _ = simulate_recorded(cfg, adv, seed=99, trial=0)
+    _, b, _ = simulate_recorded(cfg, adv, seed=99, trial=1)
+    assert a != b  # overwhelmingly likely for T=8 draws
 
 
 def test_role_streams_are_independent():
     # sampled mode consumes level draws; the outcome stream must not notice
     cfg = ForecastConfig(d=3, L=2, H=2, S=2, m=1)
     adv = IIDAdversary(uniform(3))
-    plain = simulate(cfg, adv, seed=42, mode="distributional")
-    sampled = simulate(cfg, adv, seed=42, mode="sampled")
-    assert plain.outcomes == sampled.outcomes
+    _, plain, _ = simulate_recorded(cfg, adv, seed=42, mode="distributional")
+    _, sampled, _ = simulate_recorded(cfg, adv, seed=42, mode="sampled")
+    assert plain == sampled
 
 
 def test_adaptive_outcomes_ignore_seed():
     # point-mass outcome days consume no randomness at all
     cfg = ForecastConfig(d=2, L=2, H=2, S=2, m=1)
     adv = AdaptiveArgminAdversary(2)
-    a = simulate(cfg, adv, seed=1)
-    b = simulate(cfg, adv, seed=123456)
-    assert a.outcomes == b.outcomes
+    a, a_out, _ = simulate_recorded(cfg, adv, seed=1)
+    b, b_out, _ = simulate_recorded(cfg, adv, seed=123456)
+    assert a_out == b_out
     assert a.leaf_counts == b.leaf_counts
 
 
@@ -182,8 +219,8 @@ def test_hard_adversary_integration():
     assert cfg.T == hcfg.T
     tree = sample_tau_tree(hcfg, fixed_stream(44))
     adv = HardSequenceAdversary(hcfg, tree=tree)
-    run = simulate(cfg, adv, seed=3)
-    tr = expand_to_transcript(run)
+    run, outcomes, _ = simulate_recorded(cfg, adv, seed=3)
+    tr = expand_to_transcript(run, outcomes)
     assert dce(tr) == dce_value(run)
 
 
@@ -195,9 +232,9 @@ def test_mode_validation_and_missing_pieces():
     run = simulate(cfg, adv, seed=1)
     with pytest.raises(ConfigInvalid):
         ece_value(run)  # not sampled
-    run2 = simulate(cfg, adv, seed=1, retain_outcomes=False)
-    with pytest.raises(ConfigInvalid):
-        expand_to_transcript(run2)
+    for recorded in ([], [1] * (cfg.T - 1), [1] * (cfg.T + 1)):
+        with pytest.raises(ConfigInvalid):
+            expand_to_transcript(run, recorded)  # needs exactly T outcomes
 
 
 def test_dimension_mismatch_between_adversary_and_forecaster():
@@ -211,10 +248,10 @@ def test_big_denominator_falls_back_to_exact_path():
     big = 1 << 70
     q = make_rational_dist([big // 2 + 1, big // 2 - 1], big)
     cfg = ForecastConfig(d=2, L=1, H=2, S=2, m=1)
-    run = simulate(cfg, IIDAdversary(q), seed=5)
+    run, outcomes, _ = simulate_recorded(cfg, IIDAdversary(q), seed=5)
     assert sum(sum(c) for c in run.leaf_counts) == cfg.T
     ostream = Stream(stream_key(5, ROLE_OUTCOME, 0))
-    assert run.outcomes == [sample_outcome(q, ostream) for _ in range(cfg.T)]
+    assert outcomes == [sample_outcome(q, ostream) for _ in range(cfg.T)]
 
 
 def test_tally_division_is_bit_identical_to_fraction():
@@ -242,7 +279,7 @@ def test_tallies_match_metrics_under_a_2_70_denominator_law(m):
     big = 1 << 70
     q = make_rational_dist([big // 3, big - big // 3 - 5, 5], big)
     cfg = ForecastConfig(d=3, L=2, H=2, S=3, m=m)
-    run = simulate(cfg, IIDAdversary(q), seed=9, mode="sampled")
-    tr = expand_to_transcript(run)
+    run, outcomes, levels = simulate_recorded(cfg, IIDAdversary(q), seed=9, mode="sampled")
+    tr = expand_to_transcript(run, outcomes, levels)
     assert dce(tr) == dce_value(run)
     assert ece_trajectory(tr) == ece_value(run)

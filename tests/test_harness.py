@@ -810,6 +810,44 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("forecaster", ["truthful", "uniform", "hierarchical"])
+    def test_lowerbound_beyond_day_budget_exits_2(self, monkeypatch, capsys, forecaster):
+        # T = 2^69: refused before the tau tree (K^r prefixes) is sampled
+        def no_tree(*args):
+            raise AssertionError("sample_tau_tree reached")
+
+        monkeypatch.setattr(harness, "sample_tau_tree", no_tree)
+        code = cli.main(["lowerbound", "--R", "70", "--K", "2", "--forecaster", forecaster,
+                         "--trials", "2", "--seed", "1"])
+        assert code == 2
+        assert "day budget" in capsys.readouterr().err
+
+    def test_concentration_beyond_day_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        # T = 4^60 * 16: refused before the first simulate
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("engine.simulate reached")
+
+        monkeypatch.setattr(harness.engine, "simulate", no_simulate)
+        path = write_config(tmp_path, CONC_CFG.replace("L = 2", "L = 60"), "conc.cfg")
+        code = cli.main(["concentration", "--config", path, "--trials", "2", "--seed", "1"])
+        assert code == 2
+        assert "day budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stray, text", [
+        ("iid_q", "d = 8\nL = 1\nH = 2\nS = 1\nm = 1\nadversary = hard\n"
+                  "hard_R = 2\nhard_K = 2\niid_q = 5,1,1,1,1,1,1,1\n"),
+        ("hard_R", BASE_CFG.replace("adversary = iid\niid_q = 1,1\n",
+                                    "adversary = adaptive_argmin\nhard_R = 9\n")),
+        ("hard_K", BASE_CFG + "hard_K = 2\n"),
+    ], ids=["hard-iid_q", "adaptive_argmin-hard_R", "iid-hard_K"])
+    def test_key_of_another_adversary_exits_2(self, tmp_path, capsys, stray, text):
+        cfg_path = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        code = cli.main(["run", "--config", cfg_path, "--seed", "1", "--out", str(out_dir)])
+        assert code == 2
+        assert f"error: key {stray!r} does not apply" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_oracle_cli(self, capsys):
         assert cli.main(["oracle", "--trials", "10", "--max-T", "8", "--max-d", "3", "--seed", "3"]) == 0
 
