@@ -4,24 +4,29 @@ Per day: one rejection-sampled uniform below the distribution's denominator
 decides the outcome (bisect over the cumulative numerators), then, when
 level sampling is on, one uniform below n_levels picks the realized
 sub-forecaster.  The outcome and level streams are independent, so a call
-draws all of its outcome uniforms, then all of its level uniforms, each
-through `_uniforms`.
+draws all of its outcome uniforms, then all of its level uniforms.
 
 Counters advance one per 64-bit word drawn, accepted or rejected, so every
 value is the one `rng.Stream.below` would return from the same position.
-`_uniforms` takes one of two paths:
+Words below 2**64 are drawn in lane-packed batches of up to `CHUNK`
+consecutive counters (`_packed`): one Python int holds the whole batch,
+128 bits per lane, and the SplitMix64 finalizer runs on every lane at once
+in a dozen big-integer operations.  Each lane is masked to 64 bits before
+every multiply, so a lane's 128-bit product never carries into its
+neighbour.  A call takes one of three paths:
 
 - a denominator of 2**64 or more goes through `Stream.below`, which draws
   several words per attempt;
-- any smaller denominator draws its words in lane-packed batches of up to
-  `CHUNK` consecutive counters (`_words`).  One Python int holds the whole
-  batch, 128 bits per lane, and the finalizer runs on every lane at once in
-  a dozen big-integer operations.  Each lane is masked to 64 bits before every
-  multiply, so a lane's 128-bit product never carries into its neighbour.
-  A batch whose words all clear the rejection threshold is accepted whole;
-  otherwise the rejected words are filtered out.  A batch never holds more
-  words than values still needed, so the counter always stops where
-  `Stream.below` would leave it.
+- a call that needs only counts, over a power-of-two modulus m = 2**k below
+  2**64, never decodes its batches (`_pow2_at_least`).  Such a modulus
+  rejects no word, and a lane's value is its word's low k bits.  Adding
+  m − c to every lane sets bit k exactly in the lanes whose value is at
+  least c, so one mask and one `int.bit_count()` count them, per distinct
+  boundary c;
+- every other call decodes each batch into a list (`_words`), filters out
+  rejected words, reduces the rest mod m, bisects and counts in Python.  A
+  batch never holds more words than values still needed, so the counter
+  always stops where `Stream.below` would leave it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from array import array
 from bisect import bisect_right
 from functools import cache
 from itertools import repeat
-from operator import mod
+from operator import mod, sub
 
 from .rng import GOLDEN, MASK64, MIX_C1, MIX_C2, Stream
 
@@ -69,8 +74,12 @@ def _decode(packed: bytes, swap: bool) -> list[int]:
     return words[::2].tolist()
 
 
-def _words(key: int, ctr: int, n: int) -> list[int]:
-    """Draws ctr+1 .. ctr+n of the stream `key`, for 1 <= n <= CHUNK."""
+def _packed(key: int, ctr: int, n: int) -> int:
+    """Draws ctr+1 .. ctr+n of the stream `key`, for 1 <= n <= CHUNK, lane-packed.
+
+    Lane j (bits 128·j .. 128·j + 127) holds draw ctr+1+j in its low 64 bits,
+    zeros in bits 64..96 and stray bits of lane j+1 in bits 97..127.
+    """
     ones, ramp, mask = _lanes()
     shift = 128 * (CHUNK - n)
     start = (key + GOLDEN * (ctr + 1 - CHUNK + n)) & MASK64
@@ -78,10 +87,46 @@ def _words(key: int, ctr: int, n: int) -> list[int]:
     z = (start * (ones >> shift) + (ramp >> shift)) & mask
     z = ((z ^ (z >> 30)) & mask) * MIX_C1 & mask
     z = ((z ^ (z >> 27)) & mask) * MIX_C2 & mask
-    # The last shift pulls the next lane's bits only into bits 97..127,
-    # which `_decode` drops.
-    z ^= z >> 31
-    return _decode(z.to_bytes(16 * n, "little"), _BIG_ENDIAN_HOST)
+    # The last shift pulls the next lane's bits only into bits 97..127.
+    return z ^ (z >> 31)
+
+
+def _words(key: int, ctr: int, n: int) -> list[int]:
+    """Draws ctr+1 .. ctr+n of the stream `key`, for 1 <= n <= CHUNK."""
+    return _decode(_packed(key, ctr, n).to_bytes(16 * n, "little"), _BIG_ENDIAN_HOST)
+
+
+def _pow2_at_least(key: int, ctr: int, n: int, k: int, bounds) -> list[int]:
+    """For each c in `bounds` (0 <= c <= 2**k), how many of n successive
+    `Stream(key, ctr).below(2**k)` values are at least c; k <= 63.
+
+    No word is rejected, so the values are the low k bits of draws
+    ctr+1 .. ctr+n.
+    """
+    m = 1 << k
+    ones = _lanes()[0]
+    # A boundary repeats where an outcome has zero mass; count it once.
+    hits = dict.fromkeys(bounds, 0)
+    while n:
+        b = min(n, CHUNK)
+        lane = ones >> 128 * (CHUNK - b)
+        u = _packed(key, ctr, b) & lane * (m - 1)
+        top = lane << k
+        # u + m − c < 2m <= 2**64 in every lane: no carry leaves a lane.
+        for c in hits:
+            hits[c] += ((u + lane * (m - c)) & top).bit_count()
+        ctr += b
+        n -= b
+    return list(map(hits.__getitem__, bounds))
+
+
+def _counts_of(n: int, above: list[int]) -> list[int]:
+    """Counts per value from n values and how many reach each successive boundary."""
+    return list(map(sub, [n, *above], [*above, 0]))
+
+
+def _is_pow2_word(m: int) -> bool:
+    return m < _MOD and not m & (m - 1)
 
 
 def _uniforms(key: int, ctr: int, n: int, m: int) -> tuple[list[int], int]:
@@ -123,6 +168,10 @@ def sim_days(
     Returns (octr, lctr, counts[d], tally[n_levels][d] | None,
     outcomes 1-based | None, levels 0-based | None).
     """
+    if not (sample_levels or record_outcomes) and _is_pow2_word(den):
+        above = _pow2_at_least(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
+        counts = _counts_of(n_days, above)
+        return octr + n_days, lctr, counts, None, None, [] if record_levels else None
     us, octr = _uniforms(okey, octr, n_days, den)
     idx = list(map(bisect_right, repeat(cum_nums), us))
     counts = [0] * d
@@ -143,6 +192,10 @@ def draw_level_counts(
     lkey: int, lctr: int, n_days: int, n_levels: int, record: bool
 ):
     """n_days uniform draws over [0, n_levels); returns (lctr, counts, seq | None)."""
+    if not record and _is_pow2_word(n_levels):
+        k = n_levels.bit_length() - 1
+        above = _pow2_at_least(lkey, lctr, n_days, k, range(1, n_levels))
+        return lctr + n_days, _counts_of(n_days, above), None
     seq, lctr = _uniforms(lkey, lctr, n_days, n_levels)
     counts = [0] * n_levels
     for v in seq:

@@ -620,16 +620,20 @@ def cmd_lowerbound(
             run = engine.simulate(fcfg, adv, seed, trial=trial)
             values.append(engine.dce_value(run))
             continue
+        # Each day predicts one key with weight 1, so DCE is the calibration
+        # error of the per-key outcome counts.
         ostream = derive_stream(seed, ROLE_OUTCOME, trial)
-        days = []
+        tallies: dict[RationalDist, list[int]] = {}
         uniform_key = uniform(hcfg.d)
         for t in range(1, hcfg.T + 1):
             p_t = day_distribution(tree, t, hcfg)
             x_t = sample_outcome(p_t, ostream)
             key = p_t if forecaster == "truthful" else uniform_key
-            mix = MixtureRecord(t, ((key, Fraction(1)),))
-            days.append(DayRecord(t=t, mixture=mix, outcome=x_t, adversary_dist=p_t))
-        values.append(dce(Transcript(hcfg.d, days)))
+            vec = tallies.get(key)
+            if vec is None:
+                vec = tallies[key] = [0] * hcfg.d
+            vec[x_t - 1] += 1
+        values.append(engine.ece_of_tallies(tallies))
     mean = sum(values) / trials
     stderr = statistics.stdev(values) / math.sqrt(trials)
     eps1_T = float(EpsSchedule(R)[1]) * hcfg.T

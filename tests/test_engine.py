@@ -148,12 +148,18 @@ def test_on_day_sees_each_hard_day_as_its_own_segment():
     assert [c[3] for c in calls] == [day_distribution(tree, t, hcfg) for t in range(1, cfg.T + 1)]
 
 
-@pytest.mark.parametrize("adversary", ["iid", "adaptive"])
-def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adversary):
+@pytest.mark.parametrize("adversary, mode", [
+    pytest.param("iid", "sampled", id="iid"),
+    pytest.param("adaptive", "sampled", id="adaptive"),
+    pytest.param("iid-den-4", "distributional", id="iid-den-4"),
+])
+def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adversary, mode):
     # No per-day list leaves the engine except through on_day, so a run
     # without one, at any T, asks the kernel for neither outcomes nor levels.
     flags = []
+    decodes = []
     sim_days, draw_level_counts = _kernel_py.sim_days, _kernel_py.draw_level_counts
+    decode = _kernel_py._decode
 
     def spy_sim_days(*args):
         flags.append(args[-2:])
@@ -163,17 +169,33 @@ def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv
         flags.append((None, args[-1]))
         return draw_level_counts(*args)
 
+    def spy_decode(*args):
+        decodes.append(1)
+        return decode(*args)
+
     monkeypatch.setattr(_kernel_py, "sim_days", spy_sim_days)
     monkeypatch.setattr(_kernel_py, "draw_level_counts", spy_draw_level_counts)
+    monkeypatch.setattr(_kernel_py, "_decode", spy_decode)
     cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
-    adv = IIDAdversary(uniform(3)) if adversary == "iid" else AdaptiveArgminAdversary(3)
-    run = simulate(cfg, adv, seed=12, mode="sampled")
+    adv = {
+        "iid": lambda: IIDAdversary(uniform(3)),
+        "adaptive": lambda: AdaptiveArgminAdversary(3),
+        "iid-den-4": lambda: IIDAdversary(make_rational_dist([1, 2, 1], 4)),
+    }[adversary]()
+    sampled = mode == "sampled"
+    run = simulate(cfg, adv, seed=12, mode=mode)
     assert flags and set(flags) <= {(False, False), (None, False)}
+    if not sampled:
+        assert not decodes  # a power-of-two law is counted without decoding
     flags.clear()
-    _, outcomes, levels = simulate_recorded(cfg, adv, seed=12, mode="sampled")
-    assert flags and set(flags) <= {(True, True), (None, True)}
+    _, outcomes, levels = simulate_recorded(cfg, adv, seed=12, mode=mode)
+    # the level list exists only in sampled mode
+    assert flags and set(flags) <= {(True, sampled), (None, sampled)}
     assert_replay_matches(run, outcomes)
-    assert ece_trajectory(expand_to_transcript(run, outcomes, levels)) == ece_value(run)
+    recorded = expand_to_transcript(run, outcomes, levels)
+    assert dce_value(run) == dce(recorded)
+    if sampled:
+        assert ece_trajectory(recorded) == ece_value(run)
 
 
 def test_simulation_is_deterministic():

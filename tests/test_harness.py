@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from hicalib.errors import (
     InvalidForecaster,
     MissingTranscript,
 )
-from hicalib.forecaster import ForecastConfig
+from hicalib.forecaster import ForecastConfig, MixtureRecord
 from hicalib.harness import (
     build_run_config,
     cmd_certify,
@@ -23,7 +25,7 @@ from hicalib.harness import (
     cmd_run,
     parse_config_file,
 )
-from hicalib.metrics import METRICS_CSV_COLUMNS
+from hicalib.metrics import METRICS_CSV_COLUMNS, DayRecord, Transcript, dce
 from hicalib.rng import ROLE_GENERIC, ROLE_OUTCOME, ROLE_TAU, derive_stream
 from hicalib.simplex import uniform
 
@@ -707,6 +709,32 @@ class TestCmdLowerbound:
                 float(sum(abs(Fraction(hcfg.T, hcfg.d) - c) for c in counts))
             )
         assert rep.mean_dce == pytest.approx(sum(values) / 5, abs=1e-12)
+
+    @pytest.mark.parametrize("forecaster", ["truthful", "uniform"])
+    def test_builds_no_day_records(self, monkeypatch, forecaster):
+        # Per-key outcome tallies give metrics.dce of the day records bit for bit.
+        R, K, seed, trials = 2, 3, 29, 4
+        hcfg = HardSeqConfig(R, K)
+        values = []
+        for trial in range(trials):
+            tree = sample_tau_tree(hcfg, derive_stream(seed, ROLE_TAU, trial))
+            ostream = derive_stream(seed, ROLE_OUTCOME, trial)
+            days = []
+            for t in range(1, hcfg.T + 1):
+                p_t = day_distribution(tree, t, hcfg)
+                key = p_t if forecaster == "truthful" else uniform(hcfg.d)
+                mix = MixtureRecord(t, ((key, Fraction(1)),))
+                days.append(DayRecord(t=t, mixture=mix, outcome=sample_outcome(p_t, ostream)))
+            values.append(dce(Transcript(hcfg.d, days)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lowerbound built a per-day record")
+
+        monkeypatch.setattr(harness, "Transcript", refuse)
+        monkeypatch.setattr(harness, "DayRecord", refuse)
+        rep = cmd_lowerbound(R=R, K=K, forecaster=forecaster, trials=trials, seed=seed)
+        assert rep.mean_dce == sum(values) / trials
+        assert rep.stderr == statistics.stdev(values) / math.sqrt(trials)
 
     def test_hierarchical_runs(self):
         rep = cmd_lowerbound(R=2, K=2, forecaster="hierarchical", trials=20, seed=3)

@@ -137,6 +137,77 @@ def test_kernel_counters_wrap_near_2_64(n_days):
     _check_sim_days(MASK64, MASK64 - 2, n_days, [1, 2, 4], MASK64 - 1, MASK64, 3)
 
 
+# Powers of two take the counts-only popcount path when nothing is recorded.
+POW2_DENS = [1 << k for k in (0, 1, 3, 62, 63)]
+
+
+def _pow2_laws(den):
+    """Laws over exactly `den`, with zero-mass outcomes: a leading 0 and
+    repeated cumulative numerators."""
+    odd = den // 3 | 1  # coprime to den, so the law keeps its denominator
+    return [[0, 1, 0, 0, den - 1], [odd, 0, den - odd, 0]]
+
+
+@pytest.mark.parametrize("den", POW2_DENS)
+@pytest.mark.parametrize("n_days", EDGE_DAYS + [2 * CHUNK + 7])
+def test_kernel_power_of_two_counts_match_stream_reference(den, n_days):
+    for nums in _pow2_laws(den):
+        _check_sim_days(11, 5, n_days, nums, 22, 2, 3)
+
+
+@pytest.mark.parametrize("den", POW2_DENS)
+@pytest.mark.parametrize("n_days", [1, 9, 300])
+def test_kernel_power_of_two_counters_wrap_near_2_64(den, n_days):
+    for nums in _pow2_laws(den):
+        _check_sim_days(MASK64, MASK64 - 2, n_days, nums, MASK64 - 1, MASK64, 3)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 4, 16])
+@pytest.mark.parametrize("n_days", [0, 1, 300, CHUNK + 11])
+def test_kernel_power_of_two_level_counts_match_stream_reference(n_levels, n_days):
+    for ctr in (7, MASK64 - 2):
+        s = Stream(4, ctr)
+        seq = [s.below(n_levels) for _ in range(n_days)]
+        counts = [seq.count(v) for v in range(n_levels)]
+        assert _kernel_py.draw_level_counts(4, ctr, n_days, n_levels, True) == (s.counter, counts, seq)
+        assert _kernel_py.draw_level_counts(4, ctr, n_days, n_levels, False) == (s.counter, counts, None)
+
+
+def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
+    args = (11, 5, CHUNK + 9, [3, 3, 8], 8, 3, 22, 2, 4)
+    day_counts = _kernel_py.sim_days(*args, False, False, False)
+    level_counts = _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False)
+
+    def no_decode(*_):
+        raise AssertionError("counts-only power-of-two call decoded its words")
+
+    monkeypatch.setattr(_kernel_py, "_decode", no_decode)
+    assert _kernel_py.sim_days(*args, False, False, False) == day_counts
+    assert _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False) == level_counts
+    # any call that samples levels or records a list still decodes
+    with pytest.raises(AssertionError, match="decoded"):
+        _kernel_py.sim_days(*args, True, False, False)
+    with pytest.raises(AssertionError, match="decoded"):
+        _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, True)
+
+
+def test_kernel_den_2_64_goes_through_stream_below(monkeypatch):
+    nums = [1, 1 << 63, (1 << 63) - 1]
+    want = _check_sim_days(11, 5, 20, nums, 22, 2, 3)
+    calls = []
+    below = Stream.below
+
+    def spy_below(self, n):
+        calls.append(n)
+        return below(self, n)
+
+    monkeypatch.setattr(Stream, "below", spy_below)
+    cums = [1, (1 << 63) + 1, 1 << 64]
+    got = _kernel_py.sim_days(11, 5, 20, cums, 1 << 64, 3, 22, 2, 3, False, False, False)
+    assert got == (want[0], 2, want[2], None, None, None)
+    assert calls == [1 << 64] * 20
+
+
 @pytest.mark.parametrize("n_days", [1, 9, 300])
 def test_kernel_single_level(n_days):
     *_, levels = _check_sim_days(3, 0, n_days, [1, 4], 9, 0, 1)
