@@ -18,7 +18,7 @@ neighbour.  A call takes one of three paths:
 - a denominator of 2**64 or more goes through `Stream.below`, which draws
   several words per attempt;
 - a call that needs only counts, over a power-of-two modulus m = 2**k below
-  2**64, never decodes its batches (`_pow2_at_least`).  Such a modulus
+  2**64, never decodes its batches (`_pow2_counts`).  Such a modulus
   rejects no word, and a lane's value is its word's low k bits.  Adding
   m − c to every lane sets bit k exactly in the lanes whose value is at
   least c, so one mask and one `int.bit_count()` count them, per distinct
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from bisect import bisect_right
 from functools import cache
 from itertools import repeat
@@ -96,19 +97,22 @@ def _words(key: int, ctr: int, n: int) -> list[int]:
     return _decode(_packed(key, ctr, n).to_bytes(16 * n, "little"), _BIG_ENDIAN_HOST)
 
 
-def _pow2_at_least(key: int, ctr: int, n: int, k: int, bounds) -> list[int]:
-    """For each c in `bounds` (0 <= c <= 2**k), how many of n successive
-    `Stream(key, ctr).below(2**k)` values are at least c; k <= 63.
+def _pow2_counts(key: int, ctr: int, n: int, k: int, bounds: Sequence[int]) -> list[int]:
+    """How many of n successive `Stream(key, ctr).below(2**k)` values fall in
+    each bucket `bisect_right(bounds, value)`, for nondecreasing `bounds` in
+    [0, 2**k] and k <= 63.
 
     No word is rejected, so the values are the low k bits of draws
     ctr+1 .. ctr+n.
     """
     m = 1 << k
     ones = _lanes()[0]
-    # A boundary repeats where an outcome has zero mass; count it once.
+    # How many values are at least c; a boundary repeats where an outcome
+    # has zero mass, and is counted once.
     hits = dict.fromkeys(bounds, 0)
-    while n:
-        b = min(n, CHUNK)
+    left = n
+    while left:
+        b = min(left, CHUNK)
         lane = ones >> 128 * (CHUNK - b)
         u = _packed(key, ctr, b) & lane * (m - 1)
         top = lane << k
@@ -116,12 +120,8 @@ def _pow2_at_least(key: int, ctr: int, n: int, k: int, bounds) -> list[int]:
         for c in hits:
             hits[c] += ((u + lane * (m - c)) & top).bit_count()
         ctr += b
-        n -= b
-    return list(map(hits.__getitem__, bounds))
-
-
-def _counts_of(n: int, above: list[int]) -> list[int]:
-    """Counts per value from n values and how many reach each successive boundary."""
+        left -= b
+    above = list(map(hits.__getitem__, bounds))
     return list(map(sub, [n, *above], [*above, 0]))
 
 
@@ -169,8 +169,7 @@ def sim_days(
     outcomes 1-based | None, levels 0-based | None).
     """
     if not (sample_levels or record_outcomes) and _is_pow2_word(den):
-        above = _pow2_at_least(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
-        counts = _counts_of(n_days, above)
+        counts = _pow2_counts(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
         return octr + n_days, lctr, counts, None, None, [] if record_levels else None
     us, octr = _uniforms(okey, octr, n_days, den)
     idx = list(map(bisect_right, repeat(cum_nums), us))
@@ -194,8 +193,7 @@ def draw_level_counts(
     """n_days uniform draws over [0, n_levels); returns (lctr, counts, seq | None)."""
     if not record and _is_pow2_word(n_levels):
         k = n_levels.bit_length() - 1
-        above = _pow2_at_least(lkey, lctr, n_days, k, range(1, n_levels))
-        return lctr + n_days, _counts_of(n_days, above), None
+        return lctr + n_days, _pow2_counts(lkey, lctr, n_days, k, range(1, n_levels)), None
     seq, lctr = _uniforms(lkey, lctr, n_days, n_levels)
     counts = [0] * n_levels
     for v in seq:

@@ -6,9 +6,8 @@ finalizer.  Streams are therefore stateless up to an integer counter, which
 makes them trivially reproducible and lets independent roles (outcome draws,
 sub-forecaster sampling, tau-tree draws) advance without perturbing each
 other.  Because draw ``n`` depends on nothing but ``(k, n)``, the
-day-simulation kernel (`_kernel_py`) computes a block of consecutive draws
-at once, lane-packed in one big integer, or one by one with the finalizer
-inlined below a small block size; either way it makes exactly the draws
+day-simulation kernel (`_kernel_py`) computes a batch of consecutive draws
+at once, lane-packed in one big integer, and makes exactly the draws
 `Stream.below` makes.
 
 Identifier recorded in transcript headers: ``splitmix64-ctr/1``.

@@ -148,12 +148,13 @@ def test_on_day_sees_each_hard_day_as_its_own_segment():
     assert [c[3] for c in calls] == [day_distribution(tree, t, hcfg) for t in range(1, cfg.T + 1)]
 
 
-@pytest.mark.parametrize("adversary, mode", [
-    pytest.param("iid", "sampled", id="iid"),
-    pytest.param("adaptive", "sampled", id="adaptive"),
-    pytest.param("iid-den-4", "distributional", id="iid-den-4"),
+@pytest.mark.parametrize("adv, mode", [
+    pytest.param(IIDAdversary(uniform(3)), "sampled", id="iid"),
+    pytest.param(AdaptiveArgminAdversary(3), "sampled", id="adaptive"),
+    # a law over 4 takes the kernel's popcount path
+    pytest.param(IIDAdversary(make_rational_dist([1, 2, 1], 4)), "distributional", id="iid-den-4"),
 ])
-def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adversary, mode):
+def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv, mode):
     # No per-day list leaves the engine except through on_day, so a run
     # without one, at any T, asks the kernel for neither outcomes nor levels.
     flags = []
@@ -177,11 +178,6 @@ def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv
     monkeypatch.setattr(_kernel_py, "draw_level_counts", spy_draw_level_counts)
     monkeypatch.setattr(_kernel_py, "_decode", spy_decode)
     cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
-    adv = {
-        "iid": lambda: IIDAdversary(uniform(3)),
-        "adaptive": lambda: AdaptiveArgminAdversary(3),
-        "iid-den-4": lambda: IIDAdversary(make_rational_dist([1, 2, 1], 4)),
-    }[adversary]()
     sampled = mode == "sampled"
     run = simulate(cfg, adv, seed=12, mode=mode)
     assert flags and set(flags) <= {(False, False), (None, False)}
