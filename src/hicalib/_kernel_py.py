@@ -17,12 +17,14 @@ neighbour.  A call takes one of three paths:
 
 - a denominator of 2**64 or more goes through `Stream.below`, which draws
   several words per attempt;
-- a call that needs only counts, over a power-of-two modulus m = 2**k below
+- a `sim_days` call that needs only day counts, over at most
+  `POPCOUNT_MAX_D` outcomes and a power-of-two denominator m = 2**k below
   2**64, never decodes its batches (`_pow2_counts`).  Such a modulus
   rejects no word, and a lane's value is its word's low k bits.  Adding
   m − c to every lane sets bit k exactly in the lanes whose value is at
   least c, so one mask and one `int.bit_count()` count them, per distinct
-  boundary c;
+  boundary c.  Each boundary costs a few passes over the whole batch, so
+  this only beats the list path's bisect when there are few boundaries;
 - every other call decodes each batch into a list (`_words`), filters out
   rejected words, reduces the rest mod m, bisects and counts in Python.  A
   batch never holds more words than values still needed, so the counter
@@ -46,6 +48,12 @@ _MOD = 1 << 64
 # Lanes per packed integer: bounds the lane constants (3 x 16·CHUNK bytes)
 # and the transient big integers of one batch.
 CHUNK = 2048
+
+# The popcount path's cost grows with the number of boundaries, the list
+# path's with its logarithm: at d = 2 or 3 the popcount path was faster for
+# every day count from 1 to 4,096, at d = 4 up to 6% slower for a few days,
+# at d = 9 up to 50% slower.
+POPCOUNT_MAX_D = 3
 
 # `_decode` reads 64-bit words in host order from little-endian bytes.
 _BIG_ENDIAN_HOST = sys.byteorder == "big"
@@ -125,10 +133,6 @@ def _pow2_counts(key: int, ctr: int, n: int, k: int, bounds: Sequence[int]) -> l
     return list(map(sub, [n, *above], [*above, 0]))
 
 
-def _is_pow2_word(m: int) -> bool:
-    return m < _MOD and not m & (m - 1)
-
-
 def _uniforms(key: int, ctr: int, n: int, m: int) -> tuple[list[int], int]:
     """n successive `Stream(key, ctr).below(m)` values; returns (values, counter)."""
     if m >= _MOD:
@@ -168,7 +172,8 @@ def sim_days(
     Returns (octr, lctr, counts[d], tally[n_levels][d] | None,
     outcomes 1-based | None, levels 0-based | None).
     """
-    if not (sample_levels or record_outcomes) and _is_pow2_word(den):
+    counts_only = not (sample_levels or record_outcomes)
+    if counts_only and d <= POPCOUNT_MAX_D and den < _MOD and not den & (den - 1):
         counts = _pow2_counts(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
         return octr + n_days, lctr, counts, None, None, [] if record_levels else None
     us, octr = _uniforms(okey, octr, n_days, den)
@@ -191,9 +196,6 @@ def draw_level_counts(
     lkey: int, lctr: int, n_days: int, n_levels: int, record: bool
 ):
     """n_days uniform draws over [0, n_levels); returns (lctr, counts, seq | None)."""
-    if not record and _is_pow2_word(n_levels):
-        k = n_levels.bit_length() - 1
-        return lctr + n_days, _pow2_counts(lkey, lctr, n_days, k, range(1, n_levels)), None
     seq, lctr = _uniforms(lkey, lctr, n_days, n_levels)
     counts = [0] * n_levels
     for v in seq:

@@ -137,15 +137,17 @@ def test_kernel_counters_wrap_near_2_64(n_days):
     _check_sim_days(MASK64, MASK64 - 2, n_days, [1, 2, 4], MASK64 - 1, MASK64, 3)
 
 
-# Powers of two take the counts-only popcount path when nothing is recorded.
+# Counts-only calls over a power-of-two denominator and at most
+# POPCOUNT_MAX_D outcomes take the popcount path.
 POW2_DENS = [1 << k for k in (0, 1, 3, 62, 63)]
 
 
 def _pow2_laws(den):
-    """Laws over exactly `den`, with zero-mass outcomes: a leading 0 and
-    repeated cumulative numerators."""
+    """Laws over exactly `den`, with zero-mass outcomes (a leading 0,
+    repeated cumulative numerators): two on the popcount path, two over
+    more outcomes on the list path."""
     odd = den // 3 | 1  # coprime to den, so the law keeps its denominator
-    return [[0, 1, 0, 0, den - 1], [odd, 0, den - odd, 0]]
+    return [[0, 1, den - 1], [odd, 0, den - odd], [0, 1, 0, 0, den - 1], [odd, 0, den - odd, 0]]
 
 
 @pytest.mark.parametrize("den", POW2_DENS)
@@ -176,19 +178,20 @@ def test_kernel_power_of_two_level_counts_match_stream_reference(n_levels, n_day
 def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
     args = (11, 5, CHUNK + 9, [3, 3, 8], 8, 3, 22, 2, 4)
     day_counts = _kernel_py.sim_days(*args, False, False, False)
-    level_counts = _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False)
 
     def no_decode(*_):
         raise AssertionError("counts-only power-of-two call decoded its words")
 
     monkeypatch.setattr(_kernel_py, "_decode", no_decode)
     assert _kernel_py.sim_days(*args, False, False, False) == day_counts
-    assert _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False) == level_counts
-    # any call that samples levels or records a list still decodes
+    # any call that samples levels, records a list or has more outcomes
+    # still decodes
     with pytest.raises(AssertionError, match="decoded"):
         _kernel_py.sim_days(*args, True, False, False)
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, True)
+        _kernel_py.sim_days(*args, False, True, False)
+    with pytest.raises(AssertionError, match="decoded"):
+        _kernel_py.sim_days(11, 5, 9, [1, 3, 5, 8], 8, 4, 22, 2, 4, False, False, False)
 
 
 def test_kernel_den_2_64_goes_through_stream_below(monkeypatch):
