@@ -1,10 +1,15 @@
-"""Day-simulation kernel: the engine's per-day draws and tallies.
+"""Day-simulation kernel: the engine's per-day draws and day counts.
 
 Per day: one rejection-sampled uniform below the distribution's denominator
 decides the outcome (bisect over the cumulative numerators), then, when
 level sampling is on, one uniform below n_levels picks the realized
 sub-forecaster.  The outcome and level streams are independent, so a call
 draws all of its outcome uniforms, then all of its level uniforms.
+
+`sim_days` returns the day counts per outcome and, when a caller asks for
+levels or outcomes, what it drew: the 1-based outcome of each day, and in
+sampled mode the 0-based level of each day.  It tallies no (level,
+outcome) pairs; the engine folds the two lists itself.
 
 Counters advance one per 64-bit word drawn, accepted or rejected, so every
 value is the one `rng.Stream.below` would return from the same position.
@@ -165,31 +170,27 @@ def sim_days(
     n_levels: int,
     sample_levels: bool,
     record_outcomes: bool,
-    record_levels: bool,
 ):
     """Simulate n_days i.i.d. draws from one distribution.
 
-    Returns (octr, lctr, counts[d], tally[n_levels][d] | None,
-    outcomes 1-based | None, levels 0-based | None).
+    Returns (octr, lctr, counts[d], outcomes, levels): `outcomes` (1-based)
+    is a list when levels are sampled or outcomes recorded, else None;
+    `levels` (0-based) is a list when levels are sampled, else None.
     """
-    counts_only = not (sample_levels or record_outcomes)
-    if counts_only and d <= POPCOUNT_MAX_D and den < _MOD and not den & (den - 1):
+    listed = sample_levels or record_outcomes
+    if not listed and d <= POPCOUNT_MAX_D and den < _MOD and not den & (den - 1):
         counts = _pow2_counts(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
-        return octr + n_days, lctr, counts, None, None, [] if record_levels else None
+        return octr + n_days, lctr, counts, None, None
     us, octr = _uniforms(okey, octr, n_days, den)
     idx = list(map(bisect_right, repeat(cum_nums), us))
     counts = [0] * d
     for i in idx:
         counts[i] += 1
-    tally = None
-    levels: list[int] = []
+    outcomes = [i + 1 for i in idx] if listed else None
+    levels = None
     if sample_levels:
         levels, lctr = _uniforms(lkey, lctr, n_days, n_levels)
-        tally = [[0] * d for _ in range(n_levels)]
-        for v, i in zip(levels, idx):
-            tally[v][i] += 1
-    outcomes = [i + 1 for i in idx] if record_outcomes else None
-    return octr, lctr, counts, tally, outcomes, levels if record_levels else None
+    return octr, lctr, counts, outcomes, levels
 
 
 def draw_level_counts(

@@ -12,8 +12,12 @@ level 1 first); a simulation or replay builds no mixture.  Adversaries see
 those keys through `next(t, level_keys)`.  A block's days form segments of
 one outcome law each, simulated by one kernel call: one S-day segment when
 the adversary is constant within a block, otherwise S one-day segments; a
-replay's block is one segment of its S recorded outcomes, with no law.  One
-fold adds every segment to the leaf counts, totals and ECE tallies.
+replay's block is one segment of its S recorded outcomes, with no law.  Each
+segment's day counts go into the leaf counts and totals.  In sampled mode
+the kernel also returns what it drew, each day's outcome and level, and the
+engine adds each drawn day to the ECE tally of that level's key; a
+point-mass segment adds its per-level day counts at its one outcome.  A
+key's ECE vector appears on the first day the key is realized.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -24,8 +28,9 @@ run a pure function of (config, adversary, seed, trial, mode).
 The aggregate RunResult carries everything the metrics and certificate
 modules need: per-leaf outcome counts, the key of every level iteration,
 and exact integer tallies for DCE/ECE.  It holds nothing per day: per-day
-outcomes and levels leave the engine only through the `on_day` sink, and a
-run without one asks the kernel for counts only.
+outcomes and levels leave the engine only through the `on_day` sink.  A
+distributional run without one asks the kernel for counts only; a sampled
+run folds each segment's draws and keeps nothing per day.
 
 Sinks: at the start of every block, `on_block(t_first, level_keys)`
 receives the block's first day and its level keys, fixed for the S days
@@ -42,8 +47,9 @@ consumes it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable
 
 from . import _kernel_py
@@ -106,7 +112,6 @@ def _drive(
     if replaying:
         replay_outcomes = iter(replay_outcomes)
     need_outcomes = on_day is not None
-    need_levels = sampled and need_outcomes
 
     okey, octr = stream_key(seed, ROLE_OUTCOME, trial), 0
     lkey, lctr = stream_key(seed, ROLE_LEVEL, trial), 0
@@ -125,7 +130,7 @@ def _drive(
     key_index: dict[PredictionKey, int] = {}
     level_iter_keys: list[list[int]] = [[] for _ in range(L)]
     dce_tallies: dict[int, list[int]] = {}
-    ece_tallies: dict[int, list[int]] | None = {} if sampled else None
+    ece_tallies: dict[int, list[int]] = defaultdict(lambda: [0] * d)
     leaf_counts: list[list[int]] = []
 
     def intern(key: PredictionKey) -> int:
@@ -179,6 +184,7 @@ def _drive(
         leaf = [0] * d
         t = t_first
         for law in laws:
+            lv_seg = None
             if law is None:
                 # Pulled only now, after on_block has seen the block's keys.
                 out_seg = list(islice(replay_outcomes, S))
@@ -187,22 +193,31 @@ def _drive(
                 counts = [0] * d
                 for x in out_seg:
                     counts[x - 1] += 1
-                tally = lv_seg = None
+            elif law.d != d:
+                raise ConfigInvalid(f"adversary dimension {law.d} != forecaster d {d}")
+            elif law.denominator == 1:
+                # a point mass draws no outcome, only the levels
+                x = law.numerators.index(1)
+                counts = [0] * d
+                counts[x] = n
+                out_seg = [x + 1] * n if need_outcomes else None
+                if sampled:
+                    lctr, lv_counts, lv_seg = _kernel_py.draw_level_counts(
+                        lkey, lctr, n, L, need_outcomes
+                    )
+                    for v, c in enumerate(lv_counts):
+                        if c:
+                            ece_tallies[cur_kid[v]][x] += c
             else:
-                octr, lctr, counts, tally, out_seg, lv_seg = _produce_const(
-                    law, n, d, L, sampled, need_outcomes, need_levels,
-                    okey, octr, lkey, lctr,
+                octr, lctr, counts, out_seg, lv_seg = _kernel_py.sim_days(
+                    okey, octr, n, list(accumulate(law.numerators)), law.denominator, d,
+                    lkey, lctr, L, sampled, need_outcomes,
                 )
-            # --- fold the segment into the aggregates ------------------------
+                if sampled:
+                    for v, x in zip(lv_seg, out_seg):
+                        ece_tallies[cur_kid[v]][x - 1] += 1
             for i in range(d):
                 leaf[i] += counts[i]
-            if tally is not None:
-                for v in range(L):
-                    row = tally[v]
-                    if any(row):
-                        vec = ece_tallies.setdefault(cur_kid[v], [0] * d)
-                        for i in range(d):
-                            vec[i] += row[i]
             if on_day is not None:
                 on_day(t, out_seg, lv_seg, law)
             t += n
@@ -225,39 +240,8 @@ def _drive(
         level_iter_keys=level_iter_keys,
         leaf_counts=leaf_counts,
         dce_tallies=dce_tallies,
-        ece_tallies=ece_tallies,
+        ece_tallies=dict(ece_tallies) if sampled else None,
     )
-
-
-def _produce_const(dist, n, d, L, sampled, want_out, want_lvl, okey, octr, lkey, lctr):
-    """Simulate n days of one fixed outcome law; point masses draw nothing."""
-    if dist.d != d:
-        raise ConfigInvalid(f"adversary dimension {dist.d} != forecaster d {d}")
-    if dist.denominator == 1:
-        idx = dist.numerators.index(1)
-        counts = [0] * d
-        counts[idx] = n
-        out_seg = [idx + 1] * n if want_out else None
-        tally = None
-        lv_seg = None
-        if sampled:
-            lctr, lv_counts, lv_seg = _kernel_py.draw_level_counts(
-                lkey, lctr, n, L, want_lvl
-            )
-            tally = [[0] * d for _ in range(L)]
-            for v in range(L):
-                tally[v][idx] = lv_counts[v]
-    else:
-        cums = []
-        acc = 0
-        for nu in dist.numerators:
-            acc += nu
-            cums.append(acc)
-        octr, lctr, counts, tally, out_seg, lv_seg = _kernel_py.sim_days(
-            okey, octr, n, cums, dist.denominator, d,
-            lkey, lctr, L, sampled, want_out, want_lvl,
-        )
-    return octr, lctr, counts, tally, out_seg, lv_seg
 
 
 def simulate(
@@ -365,4 +349,4 @@ def expand_to_transcript(
                 realized=realized,
             )
         )
-    return Transcript(cfg.d, days, config=cfg)
+    return Transcript(cfg.d, days)

@@ -194,11 +194,11 @@ def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> Ru
     mode = kv.get("mode", "distributional")
     if mode not in ("distributional", "sampled"):
         raise ConfigInvalid(f"mode must be distributional or sampled, got {mode!r}")
+    # a malformed key is an error even where --seed overrides it
+    seed = _int_of(kv, "seed") if "seed" in kv else None
     if seed_override is not None:
         seed = seed_override
-    elif "seed" in kv:
-        seed = _int_of(kv, "seed")
-    else:
+    if seed is None:
         raise ConfigInvalid("seed required (config key or --seed)")
     kind = kv.get("adversary", "iid")
     iid_q = None
@@ -779,6 +779,8 @@ def concentration_arm(cfg: ForecastConfig, q: RationalDist, seed: int, trials: i
 def cmd_concentration(config_path: str, trials: int, seed: int) -> ConcentrationReport:
     """Sampling-vs-mixture gap shrinks with S; the mean gap obeys the 5*eps budget."""
     kv = parse_config_file(config_path, CONCENTRATION_KEYS)
+    if "seed" in kv:
+        _int_of(kv, "seed")  # --seed wins, but a malformed key is still an error
     if trials < 2:
         raise ConfigInvalid(f"need trials >= 2, got {trials}")
     kind = kv.get("adversary", "iid")

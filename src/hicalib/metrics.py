@@ -20,18 +20,17 @@ from typing import Callable
 
 from .errors import MissingMixture, MissingRealizedPrediction
 from .forecaster import ForecastConfig, MixtureRecord
-from .simplex import PredictionKey, RationalDist
+from .simplex import PredictionKey
 
 
 @dataclass(frozen=True)
 class DayRecord:
-    """One transcript day; realized prediction and adversary law are optional."""
+    """One transcript day; the realized prediction is optional."""
 
     t: int
     mixture: MixtureRecord | None
     outcome: int
     realized: PredictionKey | None = None
-    adversary_dist: RationalDist | None = None
 
 
 @dataclass
@@ -40,7 +39,6 @@ class Transcript:
 
     d: int
     days: list[DayRecord]
-    config: ForecastConfig | None = None
 
     @property
     def T(self) -> int:

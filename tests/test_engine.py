@@ -156,18 +156,18 @@ def test_on_day_sees_each_hard_day_as_its_own_segment():
 ])
 def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv, mode):
     # No per-day list leaves the engine except through on_day, so a run
-    # without one, at any T, asks the kernel for neither outcomes nor levels.
+    # without one, at any T, asks the kernel to record no outcomes or levels.
     flags = []
     decodes = []
     sim_days, draw_level_counts = _kernel_py.sim_days, _kernel_py.draw_level_counts
     decode = _kernel_py._decode
 
     def spy_sim_days(*args):
-        flags.append(args[-2:])
+        flags.append(("sim_days", args[-1]))
         return sim_days(*args)
 
     def spy_draw_level_counts(*args):
-        flags.append((None, args[-1]))
+        flags.append(("draw_level_counts", args[-1]))
         return draw_level_counts(*args)
 
     def spy_decode(*args):
@@ -180,18 +180,43 @@ def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv
     cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
     sampled = mode == "sampled"
     run = simulate(cfg, adv, seed=12, mode=mode)
-    assert flags and set(flags) <= {(False, False), (None, False)}
+    assert flags and set(flags) <= {("sim_days", False), ("draw_level_counts", False)}
     if not sampled:
         assert not decodes  # a power-of-two law is counted without decoding
     flags.clear()
     _, outcomes, levels = simulate_recorded(cfg, adv, seed=12, mode=mode)
-    # the level list exists only in sampled mode
-    assert flags and set(flags) <= {(True, sampled), (None, sampled)}
+    assert flags and set(flags) <= {("sim_days", True), ("draw_level_counts", True)}
+    if sampled:
+        assert len(levels) == cfg.T  # the sink saw every day's level
     assert_replay_matches(run, outcomes)
     recorded = expand_to_transcript(run, outcomes, levels)
     assert dce_value(run) == dce(recorded)
     if sampled:
         assert ece_trajectory(recorded) == ece_value(run)
+
+
+@pytest.mark.parametrize("cfg, make_adv", [
+    pytest.param(ForecastConfig(d=3, L=3, H=2, S=1, m=1),
+                 lambda: IIDAdversary(make_rational_dist([1, 2, 4], 7)), id="iid"),
+    # point masses: the levels come from draw_level_counts
+    pytest.param(ForecastConfig(d=3, L=3, H=2, S=1, m=1),
+                 lambda: AdaptiveArgminAdversary(3), id="adaptive"),
+    # d = 32, T = 8: one-day segments
+    pytest.param(ForecastConfig(d=32, L=3, H=2, S=1, m=1),
+                 lambda: HardSequenceAdversary(HardSeqConfig(R=4, K=2), seed=5), id="hard"),
+])
+def test_ece_tallies_are_the_fold_of_the_drawn_days(cfg, make_adv):
+    # Only keys realized on some day have a vector, and the vectors are the
+    # per-day fold of the (level, outcome) pairs an on_day sink sees.
+    run = simulate(cfg, make_adv(), seed=21, mode="sampled")
+    rec_run, outcomes, levels = simulate_recorded(cfg, make_adv(), seed=21, mode="sampled")
+    assert run.ece_tallies and all(sum(vec) > 0 for vec in run.ece_tallies.values())
+    want: dict = {}
+    for t, (x, v) in enumerate(zip(outcomes, levels)):
+        key = run.keys[run.block_key_ids(t // cfg.S)[v]]
+        want.setdefault(key, [0] * cfg.d)[x - 1] += 1
+    for r in (run, rec_run):
+        assert {r.keys[kid]: vec for kid, vec in r.ece_tallies.items()} == want
 
 
 def test_simulation_is_deterministic():

@@ -56,6 +56,10 @@ class TestConfigParsing:
         assert rc.cfg == ForecastConfig(d=2, L=2, H=2, S=1, m=1)
         assert rc.seed == 7 and rc.adversary_kind == "iid"
         assert rc.iid_q == uniform(2)
+        # --seed wins over a well-formed config seed
+        kv = parse_config_file(write_config(tmp_path, BASE_CFG + "seed = 9\n"), harness.RUN_KEYS)
+        assert build_run_config(kv, seed_override=7).seed == 7
+        assert build_run_config(kv).seed == 9
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -874,6 +878,24 @@ class TestCli:
         code = cli.main(["run", "--config", cfg_path, "--seed", "1", "--out", str(out_dir)])
         assert code == 2
         assert f"error: key {stray!r} does not apply" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", BASE_CFG + "seed = x\n"),
+        ("run", BASE_CFG + "seed = 1.5\n"),
+        ("concentration", CONC_CFG + "seed = x\n"),
+    ], ids=["run-x", "run-1.5", "concentration-x"])
+    def test_malformed_config_seed_exits_2_under_seed_flag(self, tmp_path, capsys, command, text):
+        # --seed wins over the config's seed, but a malformed one is still an error
+        cfg_path = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        argv = {
+            "run": ["run", "--config", cfg_path, "--seed", "1", "--out", str(out_dir)],
+            "concentration": ["concentration", "--config", cfg_path, "--trials", "2",
+                              "--seed", "1"],
+        }[command]
+        assert cli.main(argv) == 2
+        assert "error: key 'seed'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_oracle_cli(self, capsys):

@@ -79,7 +79,8 @@ KERNEL_DENS = [
 
 
 def _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
-    """sim_days' result by a `sample_outcome`/`Stream.below` loop, levels sampled."""
+    """sim_days' result by a `sample_outcome`/`Stream.below` loop, levels sampled:
+    (octr, lctr, counts, outcomes, levels)."""
     d, den = len(nums), sum(nums)
     dist = make_rational_dist(nums, den)
     assert dist.denominator == den  # otherwise the two would draw below different n
@@ -89,25 +90,20 @@ def _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
         outcomes.append(sample_outcome(dist, ostream))
         levels.append(lstream.below(n_levels))
     counts = [outcomes.count(i) for i in range(1, d + 1)]
-    tally = [[0] * d for _ in range(n_levels)]
-    for x, v in zip(outcomes, levels):
-        tally[v][x - 1] += 1
-    return ostream.counter, lstream.counter, counts, tally, outcomes, levels
+    return ostream.counter, lstream.counter, counts, outcomes, levels
 
 
 def _check_sim_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
     want = _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels)
     cums = [sum(nums[: i + 1]) for i in range(len(nums))]
     args = (okey, octr, n_days, cums, sum(nums), len(nums), lkey, lctr, n_levels)
-    assert _kernel_py.sim_days(*args, True, True, True) == want
+    assert _kernel_py.sim_days(*args, True, True) == want
+    # sampled levels come with the outcomes they pair with, recorded or not
+    assert _kernel_py.sim_days(*args, True, False) == want
     # without level sampling the level stream is left untouched
-    octr_end, _, counts, _, outcomes, _ = want
-    assert _kernel_py.sim_days(*args, False, True, False) == (
-        octr_end, lctr, counts, None, outcomes, None
-    )
-    assert _kernel_py.sim_days(*args, False, False, False) == (
-        octr_end, lctr, counts, None, None, None
-    )
+    octr_end, _, counts, outcomes, _ = want
+    assert _kernel_py.sim_days(*args, False, True) == (octr_end, lctr, counts, outcomes, None)
+    assert _kernel_py.sim_days(*args, False, False) == (octr_end, lctr, counts, None, None)
     return want
 
 
@@ -177,21 +173,21 @@ def test_kernel_power_of_two_level_counts_match_stream_reference(n_levels, n_day
 
 def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
     args = (11, 5, CHUNK + 9, [3, 3, 8], 8, 3, 22, 2, 4)
-    day_counts = _kernel_py.sim_days(*args, False, False, False)
+    day_counts = _kernel_py.sim_days(*args, False, False)
 
     def no_decode(*_):
         raise AssertionError("counts-only power-of-two call decoded its words")
 
     monkeypatch.setattr(_kernel_py, "_decode", no_decode)
-    assert _kernel_py.sim_days(*args, False, False, False) == day_counts
+    assert _kernel_py.sim_days(*args, False, False) == day_counts
     # any call that samples levels, records a list or has more outcomes
     # still decodes
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.sim_days(*args, True, False, False)
+        _kernel_py.sim_days(*args, True, False)
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.sim_days(*args, False, True, False)
+        _kernel_py.sim_days(*args, False, True)
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.sim_days(11, 5, 9, [1, 3, 5, 8], 8, 4, 22, 2, 4, False, False, False)
+        _kernel_py.sim_days(11, 5, 9, [1, 3, 5, 8], 8, 4, 22, 2, 4, False, False)
 
 
 def test_kernel_den_2_64_goes_through_stream_below(monkeypatch):
@@ -206,8 +202,8 @@ def test_kernel_den_2_64_goes_through_stream_below(monkeypatch):
 
     monkeypatch.setattr(Stream, "below", spy_below)
     cums = [1, (1 << 63) + 1, 1 << 64]
-    got = _kernel_py.sim_days(11, 5, 20, cums, 1 << 64, 3, 22, 2, 3, False, False, False)
-    assert got == (want[0], 2, want[2], None, None, None)
+    got = _kernel_py.sim_days(11, 5, 20, cums, 1 << 64, 3, 22, 2, 3, False, False)
+    assert got == (want[0], 2, want[2], None, None)
     assert calls == [1 << 64] * 20
 
 
