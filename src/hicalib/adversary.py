@@ -177,6 +177,7 @@ class AdaptiveArgminAdversary:
     def __init__(self, d: int):
         self.d = d
         self.name = "adaptive_argmin"
+        self._point_masses: dict[int, RationalDist] = {}  # built on first play
 
     def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         if level_keys is None:
@@ -187,7 +188,11 @@ class AdaptiveArgminAdversary:
             scale = lcm // den
             for i, n in enumerate(nums):
                 scores[i] += n * scale
-        return point_mass(self.d, scores.index(min(scores)) + 1)
+        index = scores.index(min(scores)) + 1
+        law = self._point_masses.get(index)
+        if law is None:
+            law = self._point_masses[index] = point_mass(self.d, index)
+        return law
 
 
 class HardSequenceAdversary:

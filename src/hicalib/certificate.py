@@ -23,6 +23,27 @@ over den(z) adds sum_i |z_i*T_l - c_i*den(z)| to den(z)'s numerator, which
 is T_l*l1(z, c/T_l)*den(z).  Each distinct denominator becomes one
 `Fraction` at the end.  Floats of exact ratios are int/int true divisions,
 correctly rounded like `Fraction.__float__`.
+
+Every check walks count supports, not all d coordinates.  Each node of the
+interval tree is its (coordinate, count) pairs with nonzero count, in
+coordinate order; a parent's pairs are its children's, added up.  The
+coordinates with zero count enter each sum as one exact background term:
+
+  A0..A2      sum_i |z_i*T_l - c_i*den| = T_l*den + sum over the support of
+              (|z_i*T_l - c_i*den| - z_i*T_l), since the z_i sum to den;
+  smoothness  a coordinate no child so far has touched holds the background
+              numerator b_h = m*den(z_h) / (d*(h-1+m)) in z_h, an exact
+              integer, so l1(z_h, z_{h+1}) sums over the touched coordinates
+              plus (d - touched) * |b_h*den(z_{h+1}) - b_{h+1}*den(z_h)|;
+  pseudo-regret  a coordinate with W_i = 0 adds exactly 0.0 to the tight
+              bound and nothing to the lhs;
+  KL, entropy  terms with zero count are dropped, as in `simplex`.
+
+KL and entropy reduce the counts by their gcd with the period as they walk
+them, in coordinate order, so their floats are bit for bit those of
+`kl_divergence`/`entropy` on `make_rational_dist(counts, T_l)`.  The
+predictions stay dense `RationalDist`s from `smoothed_prediction`, so the
+recomputation check compares recorded keys with them as they are.
 """
 
 from __future__ import annotations
@@ -31,10 +52,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .engine import RunResult
 from .forecaster import smoothed_prediction
-from .simplex import (
+
+# The dense functionals the support walks below reproduce; bound here so
+# that perfbench/tracer.py can patch them by name.
+from .simplex import (  # noqa: F401
     RationalDist,
     entropy,
     kl_divergence,
@@ -113,51 +138,84 @@ class CertificateReport:
 
 
 class RunView:
-    """Interval-tree statistics of a completed run, recomputed from leaf counts."""
+    """Interval-tree statistics of a completed run, built from its leaf counts.
+
+    `dist_by_depth[k][j]` is node j at depth k (0 = root, L = leaves): the
+    outcome counts of its period(k) days as (coordinate, count) pairs in
+    coordinate order, zero counts left out.  `ent_by_depth` holds each
+    node's empirical entropy and `preds[l-1][v]` the dense predictions
+    z_1..z_{H+1} of interval v at level l.
+    """
 
     def __init__(self, run: RunResult):
         self.run = run
         cfg = run.cfg
         self.cfg = cfg
-        d, H, L = cfg.d, cfg.H, cfg.L
-        counts = [list(c) for c in run.leaf_counts]
-        by_depth = [counts]
-        for depth in range(L - 1, -1, -1):
-            level_below = by_depth[0]
-            agg = []
-            for j in range(0, len(level_below), H):
-                acc = [0] * d
-                for child in level_below[j : j + H]:
-                    for i in range(d):
-                        acc[i] += child[i]
-                agg.append(acc)
-            by_depth.insert(0, agg)
-        self.counts_by_depth = by_depth  # index = depth 0..L
-        self.dist_by_depth = [
-            [make_rational_dist(c, cfg.period(depth)) for c in nodes]
-            for depth, nodes in enumerate(by_depth)
-        ]
-        self.ent_by_depth = [
-            [entropy(x) for x in nodes] for nodes in self.dist_by_depth
-        ]
+        d, H, L, m = cfg.d, cfg.H, cfg.L, cfg.m
+        nodes = [tuple(_support(leaf)) for leaf in run.leaf_counts]
+        by_depth = [nodes]
         # Predictions z_1..z_{H+1} per (level, interval); z_{H+1} is the
         # never-played successor of the last iteration.  z_1 is the same
-        # smoothed uniform point for every interval of a level.
-        self.preds: list[list[list[RationalDist]]] = []
-        for level in range(1, L + 1):
+        # smoothed uniform point for every interval of a level.  The prefix
+        # after all H children is the parent's counts.
+        preds: list[list[list[RationalDist]]] = []
+        for level in range(L, 0, -1):
             t_level = cfg.period(level)
+            z_first = smoothed_prediction([0] * d, 1, t_level, d, m)
+            parents = []
             per_level = []
-            children = self.counts_by_depth[level]
-            z_first = smoothed_prediction([0] * d, 1, t_level, d, cfg.m)
-            for v in range(H ** (level - 1)):
+            for j in range(0, len(nodes), H):
                 prefix = [0] * d
+                touched = []
                 zs = [z_first]
-                for h in range(1, H + 1):
-                    child = children[v * H + h - 1]
-                    prefix = [prefix[i] + child[i] for i in range(d)]
-                    zs.append(smoothed_prediction(prefix, h + 1, t_level, d, cfg.m))
+                for h, child in enumerate(nodes[j : j + H], 2):
+                    for i, c in child:
+                        if not prefix[i]:
+                            touched.append(i)
+                        prefix[i] += c
+                    zs.append(smoothed_prediction(prefix, h, t_level, d, m))
+                touched.sort()
+                parents.append(tuple([(i, prefix[i]) for i in touched]))
                 per_level.append(zs)
-            self.preds.append(per_level)
+            nodes = parents
+            by_depth.append(nodes)
+            preds.append(per_level)
+        by_depth.reverse()
+        preds.reverse()
+        self.dist_by_depth = by_depth  # index = depth 0..L
+        self.ent_by_depth = [
+            [_entropy(pairs, cfg.period(depth)) for pairs in nodes]
+            for depth, nodes in enumerate(by_depth)
+        ]
+        self.preds = preds
+
+
+def _support(row):
+    """(coordinate, count) pairs of a dense count row's nonzero entries."""
+    return zip(compress(range(len(row)), row), filter(None, row))
+
+
+def _entropy(pairs, total: int) -> float:
+    """entropy(make_rational_dist(counts, total)), walking the support only."""
+    g = math.gcd(total, *[c for _, c in pairs])
+    den = total // g
+    s = 0.0
+    for _, c in pairs:
+        n = c // g
+        s += n * math.log(n)
+    return max(math.log(den) - s / den, 0.0)
+
+
+def _kl(pairs, total: int, p: RationalDist) -> float:
+    """kl_divergence(make_rational_dist(counts, total), p), walking the support only."""
+    g = math.gcd(total, *[c for _, c in pairs])
+    dx = total // g
+    nums, dp = p
+    s = 0.0
+    for i, c in pairs:
+        nx = c // g
+        s += nx * math.log(nx * dp / (dx * nums[i]))
+    return max(s / dx, 0.0)
 
 
 def _view(run) -> RunView:
@@ -171,18 +229,28 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
     """
     view = _view(run)
     cfg = view.cfg
+    d, H, m = cfg.d, cfg.H, cfg.m
     rows = []
     max_gap = 0.0
     violations = 0
     for level in range(1, cfg.L + 1):
+        nodes = view.dist_by_depth[level]
         level_max = 0.0
         min_margin = math.inf
         bad = 0
-        for zs in view.preds[level - 1]:
-            for h in range(1, cfg.H + 1):
+        for v, zs in enumerate(view.preds[level - 1]):
+            seen: set[int] = set()
+            for h in range(1, H + 1):
+                seen.update([i for i, _ in nodes[v * H + h - 1]])
+                (na, da), (nb, db) = zs[h - 1], zs[h]
+                # outside the seen coordinates both prefix counts are zero
+                ba = m * da // (d * (h - 1 + m))
+                bb = m * db // (d * (h + m))
                 # gap = n/D against the bound 2/k, compared as integers
-                gap = l1_distance_exact(zs[h - 1], zs[h])
-                n, D, k = gap.numerator, gap.denominator, h + cfg.m
+                n = (d - len(seen)) * abs(ba * db - bb * da) + sum(
+                    [abs(na[i] * db - nb[i] * da) for i in seen]
+                )
+                D, k = da * db, h + m
                 if n * k > 2 * D:
                     bad += 1
                 level_max = max(level_max, n / D)
@@ -193,9 +261,9 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
                 name="smoothness-step",
                 scope=f"level={level}",
                 measured=level_max,
-                bound=2.0 / cfg.m,
+                bound=2.0 / m,
                 margin=min_margin,
-                passed=bad == 0 and level_max <= 2.0 / cfg.m,
+                passed=bad == 0 and level_max <= 2.0 / m,
             )
         )
         max_gap = max(max_gap, level_max)
@@ -216,23 +284,18 @@ def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretRes
     cfg = view.cfg
     H, d, m = cfg.H, cfg.d, cfg.m
     t_level = cfg.period(level)
-    children = view.counts_by_depth[level]
+    children = view.dist_by_depth[level]
     zs = view.preds[level - 1][interval_index]
     lhs = 0.0
-    w_total = [0] * d
     for h in range(1, H + 1):
-        child = children[interval_index * H + h - 1]
-        z = zs[h]
-        for i in range(d):
-            c = child[i]
-            if c:
-                lhs += (c / t_level) * math.log(z.denominator / z.numerators[i])
-            w_total[i] += child[i]
+        nums, den = zs[h]
+        for i, c in children[interval_index * H + h - 1]:
+            lhs += (c / t_level) * math.log(den / nums[i])
     c_smooth = m / d
     tight = (H + 1 + m) * math.log(H + 1 + m) - (1 + m) * math.log(1 + m) - H
-    for i in range(d):
-        # -(W+c)ln(W+c) + c ln(c) + W, the 0 ln 0 = 0 convention built in (W=0 -> 0)
-        w = w_total[i] / t_level
+    # W_i = 0 adds -c ln(c) + c ln(c) + 0, exactly 0.0: walk the interval's support
+    for _, w_count in view.dist_by_depth[level - 1][interval_index]:
+        w = w_count / t_level
         tight += -(w + c_smooth) * math.log(w + c_smooth) + c_smooth * math.log(c_smooth) + w
     ent_parent = view.ent_by_depth[level - 1][interval_index]
     coarse = H * ent_parent + H / (m * m)
@@ -308,18 +371,24 @@ def _exact_sum(nums_by_den: dict[int, int]) -> Fraction:
     return sum((Fraction(n, den) for den, n in nums_by_den.items()), Fraction(0))
 
 
-def _add_scaled_l1(nums_by_den: dict[int, int], z: RationalDist, counts, t: int) -> None:
-    """Add t*l1(z, counts/t) to nums_by_den as an integer over den(z)."""
-    den = z.denominator
-    nums_by_den[den] = nums_by_den.get(den, 0) + sum(
-        abs(nz * t - c * den) for nz, c in zip(z.numerators, counts)
-    )
+def _add_scaled_l1(nums_by_den: dict[int, int], z: RationalDist, pairs, t: int) -> None:
+    """Add t*l1(z, counts/t) to nums_by_den as an integer over den(z).
+
+    Off the support each term |z_i*t - 0| is z_i*t, and all d of them sum
+    to t*den(z), so the sum walks the (coordinate, count) pairs only.
+    """
+    nums, den = z
+    total = t * den
+    for i, c in pairs:
+        nt = nums[i] * t
+        total += abs(nt - c * den) - nt
+    nums_by_den[den] = nums_by_den.get(den, 0) + total
 
 
 def _dce_exact(run: RunResult) -> Fraction:
     nums_by_den: dict[int, int] = {}
     for kid, rec in run.dce_tallies.items():
-        _add_scaled_l1(nums_by_den, run.keys[kid], rec[1:], rec[0])
+        _add_scaled_l1(nums_by_den, run.keys[kid], _support(rec[1:]), rec[0])
     return _exact_sum(nums_by_den) / run.cfg.L
 
 
@@ -363,14 +432,13 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
     for level in range(1, L + 1):
         t_level = cfg.period(level)
         weight = H**level
-        counts = view.counts_by_depth[level]
-        dists = view.dist_by_depth[level]
+        nodes = view.dist_by_depth[level]
         for v, zs in enumerate(view.preds[level - 1]):
             for h in range(1, H + 1):
-                cell = v * H + h - 1
-                _add_scaled_l1(a1_nums, zs[h - 1], counts[cell], t_level)
-                _add_scaled_l1(a2_nums, zs[h], counts[cell], t_level)
-                k_bar += kl_divergence(dists[cell], zs[h]) / weight
+                pairs = nodes[v * H + h - 1]
+                _add_scaled_l1(a1_nums, zs[h - 1], pairs, t_level)
+                _add_scaled_l1(a2_nums, zs[h], pairs, t_level)
+                k_bar += _kl(pairs, t_level, zs[h]) / weight
     a1 = _exact_sum(a1_nums) / L
     a2 = _exact_sum(a2_nums) / L + Fraction(2 * T, m)
     k_bar /= L

@@ -18,7 +18,9 @@ strictly: bytes that are not UTF-8, any float, NaN, Infinity or boolean, a
 non-integer ``t`` or ``outcome``, a day record whose keys are not exactly
 the ones ``cmd_run`` writes (``t``, ``outcome``, ``mixture``, plus
 ``realized`` iff the run is sampled and ``adv_dist`` iff it records the
-adversary), or other than T day records is a ``CorruptRecord``.  The
+adversary), a mixture not in the form ``cmd_run`` writes (keys strictly
+increasing, each weight ``[n, den]`` in lowest terms with 0 < n <= den),
+or other than T day records is a ``CorruptRecord``.  The
 recorded mixture is constant over each S-day block, so certify
 canonicalises a mixture only when it differs from the previous day's, and
 each distinct key once.
@@ -409,14 +411,23 @@ def _memo_key(obj, memo: dict) -> RationalDist:
 
 
 def _mixture_of(mix, memo: dict) -> dict:
-    """Recorded mixture as {canonical key: weight}; its weights must sum to 1."""
+    """Recorded mixture as {canonical key: weight}, in the form `cmd_run` writes it.
+
+    Keys must strictly increase, every weight must be [n, den] in lowest
+    terms with 0 < n <= den, and the weights must sum to 1.
+    """
     try:
         seen = {}
-        for key_obj, weight in mix:
+        prev = None
+        for key_obj, (n, den) in mix:
             key = _memo_key(key_obj, memo)
-            w = Fraction(weight[0], weight[1])
-            seen[key] = seen[key] + w if key in seen else w
-    except (TypeError, ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
+            if prev is not None and key <= prev:
+                raise CorruptRecord("mixture keys not strictly increasing")
+            if type(n) is not int or type(den) is not int or not 0 < n <= den or math.gcd(n, den) != 1:
+                raise CorruptRecord(f"mixture weight {[n, den]!r} not [n, den] in lowest terms in (0, 1]")
+            seen[key] = Fraction(n, den)
+            prev = key
+    except (TypeError, ValueError, KeyError) as exc:
         raise CorruptRecord(f"bad mixture: {exc}") from None
     if sum(seen.values()) != 1:
         raise CorruptRecord("mixture weights do not sum to 1")

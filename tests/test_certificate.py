@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fixed_stream, random_dist, simulate_recorded
-from hicalib.adversary import AdaptiveArgminAdversary, IIDAdversary
+from hicalib.adversary import (
+    AdaptiveArgminAdversary,
+    HardSeqConfig,
+    HardSequenceAdversary,
+    IIDAdversary,
+)
 from hicalib.certificate import (
     RunView,
     certify_run,
@@ -19,7 +24,7 @@ from hicalib.certificate import (
 )
 from hicalib.engine import run_from_outcomes, simulate
 from hicalib.forecaster import ForecastConfig, smoothed_prediction
-from hicalib.simplex import l1_distance_exact, make_rational_dist, uniform
+from hicalib.simplex import entropy, l1_distance_exact, make_rational_dist, uniform
 
 # Hand evaluation of the d=2, H=2, m=1 interval with outcomes (1, 2):
 # w1=(1,0), w2=(0,1); z2=(3/4,1/4), z3=(1/2,1/2)
@@ -239,6 +244,18 @@ def _kl_reference(x, p):
     return max(s / x.denominator, 0.0)
 
 
+def dense_counts(run):
+    """Dense outcome counts of every interval-tree node, index = depth 0..L."""
+    H = run.cfg.H
+    counts = [[list(c) for c in run.leaf_counts]]
+    for _ in range(run.cfg.L):
+        below = counts[0]
+        counts.insert(
+            0, [[sum(col) for col in zip(*below[j : j + H])] for j in range(0, len(below), H)]
+        )
+    return counts
+
+
 def reference_chain(run):
     """A0, A1, A2, K_bar and smoothness rows from per-cell Fraction terms.
 
@@ -248,7 +265,7 @@ def reference_chain(run):
     """
     cfg = run.cfg
     d, H, L, m = cfg.d, cfg.H, cfg.L, cfg.m
-    counts = RunView(run).counts_by_depth
+    counts = dense_counts(run)
     a0 = Fraction(0)
     for kid, rec in run.dce_tallies.items():
         nums, den = run.keys[kid]
@@ -302,6 +319,87 @@ def test_chain_equals_fraction_reference_on_random_runs(tag):
     assert_chain_matches_reference(
         random_run(700 + tag, mode="sampled" if tag % 2 else "distributional")
     )
+
+
+def _few_coordinates(tag, cfg, coords):
+    stream = fixed_stream(7500 + tag)
+    return run_from_outcomes(cfg, [coords[stream.below(len(coords))] for _ in range(cfg.T)])
+
+
+def _every_coordinate(d, L, H, m):
+    # each S = 2d day block holds every outcome once, then d draws from 1..3
+    stream = fixed_stream(7600 + d)
+    cfg = ForecastConfig(d=d, L=L, H=H, S=2 * d, m=m)
+    outcomes = []
+    for _ in range(H**L):
+        outcomes += list(range(1, d + 1)) + [1 + stream.below(3) for _ in range(d)]
+    return run_from_outcomes(cfg, outcomes)
+
+
+# d >= 64 at S = 1: each cell touches a few coordinates and the rest enter
+# the certificate's sums as one background term
+WIDE_RUNS = {
+    "hard-seq-d64": lambda: simulate(
+        ForecastConfig(d=64, L=4, H=2, S=1, m=2),
+        HardSequenceAdversary(HardSeqConfig(R=2, K=16), seed=3), seed=3, mode="sampled",
+    ),
+    "hard-seq-d72": lambda: simulate(
+        ForecastConfig(d=72, L=6, H=2, S=1, m=1),
+        HardSequenceAdversary(HardSeqConfig(R=3, K=8), seed=4), seed=4, mode="sampled",
+    ),
+    "adaptive-d64": lambda: simulate(
+        ForecastConfig(d=64, L=3, H=4, S=1, m=3), AdaptiveArgminAdversary(64), seed=5
+    ),
+    "three-coordinates-d97": lambda: _few_coordinates(
+        0, ForecastConfig(d=97, L=3, H=3, S=1, m=1), (1, 50, 97)
+    ),
+    "one-coordinate-d64": lambda: _few_coordinates(
+        1, ForecastConfig(d=64, L=2, H=4, S=1, m=2), (64,)
+    ),
+    # every cell touches every coordinate: no background term anywhere
+    "every-coordinate-d64": lambda: _every_coordinate(64, L=2, H=2, m=1),
+}
+
+
+def assert_support_walks_match_dense(run):
+    """Entropies and pseudo-regret bounds equal their dense evaluations exactly."""
+    cfg = run.cfg
+    d, H, m = cfg.d, cfg.H, cfg.m
+    counts = dense_counts(run)
+    view = RunView(run)
+    for depth, nodes in enumerate(counts):
+        assert view.ent_by_depth[depth] == [
+            entropy(make_rational_dist(c, cfg.period(depth))) for c in nodes
+        ]
+    c_smooth = m / d
+    for level in range(1, cfg.L + 1):
+        t_level = cfg.period(level)
+        for v in range(H ** (level - 1)):
+            zs = view.preds[level - 1][v]
+            lhs = 0.0
+            for h in range(1, H + 1):
+                for i, c in enumerate(counts[level][v * H + h - 1]):
+                    if c:
+                        lhs += (c / t_level) * math.log(zs[h].denominator / zs[h].numerators[i])
+            tight = (H + 1 + m) * math.log(H + 1 + m) - (1 + m) * math.log(1 + m) - H
+            for w_count in counts[level - 1][v]:
+                w = w_count / t_level
+                tight += -(w + c_smooth) * math.log(w + c_smooth) + c_smooth * math.log(c_smooth) + w
+            res = check_pseudo_regret(view, level, v)
+            assert (res.lhs, res.tight_bound) == (lhs, tight)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_RUNS))
+def test_wide_runs_match_dense_references(name):
+    run = WIDE_RUNS[name]()
+    supports = {len(list(filter(None, c))) for c in run.leaf_counts}
+    if name.startswith("every-coordinate"):
+        assert supports == {run.cfg.d}
+    else:
+        assert run.cfg.d >= 64 and run.cfg.S == 1 and supports == {1}
+    assert_chain_matches_reference(run)
+    assert_support_walks_match_dense(run)
+    assert check_chain(run).passed
 
 
 BIG = st.integers(1, 2**300)
