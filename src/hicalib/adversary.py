@@ -24,10 +24,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import MissingTauEntry, ConfigInvalid, OutOfRange
 from .rng import ROLE_TAU, Stream, derive_stream
-from .simplex import RationalDist, make_rational_dist, point_mass
+from .simplex import PredictionKey, RationalDist, point_mass
+
+# No law goes through make_rational_dist; it stays bound here so that
+# perfbench/tracer.py can patch it by name.
+from .simplex import make_rational_dist  # noqa: F401
 
 TauTree = dict[tuple[int, ...], int]
 
@@ -122,20 +127,33 @@ def tuple_to_day(tup: tuple[int, ...], cfg: HardSeqConfig) -> int:
     return t + 1
 
 
-def day_distribution(tree: TauTree, t: int, cfg: HardSeqConfig) -> RationalDist:
-    """p_t: mass 1/R on one coordinate of D_{r, k_r} per r < R, uniform on D_R."""
+def day_hot_coordinates(tree: TauTree, t: int, cfg: HardSeqConfig) -> tuple[int, ...]:
+    """0-based coordinates of p_t's one-hots: the tau-th of D_{r, k_r} for r < R."""
     tup = day_tuple(t, cfg)
-    units = [0] * cfg.d  # in units of 1/d
-    per_hot = cfg.d // cfg.R
+    hot = []
     for r in range(1, cfg.R):
         prefix = tup[:r]
         tau = tree.get(prefix)
         if tau is None:
             raise MissingTauEntry(f"no tau for prefix {prefix}")
-        units[cfg.one_hot_index(r, tup[r - 1], tau) - 1] += per_hot
-    for i in cfg.block(cfg.R):
-        units[i - 1] += 1
-    return make_rational_dist(units, cfg.d)
+        hot.append(cfg.one_hot_index(r, tup[r - 1], tau) - 1)
+    return tuple(hot)
+
+
+def hard_law(cfg: HardSeqConfig, hot: Iterable[int]) -> RationalDist:
+    """Mass 1/R on each 0-based coordinate in `hot` (one per D_r, r < R), 1/R uniform on D_R."""
+    w = cfg.d // cfg.R
+    units = [0] * cfg.d  # in units of 1/d
+    units[cfg.d - w :] = [1] * w  # D_R
+    for i in hot:
+        units[i] = w
+    # D_R's numerators are 1, so the units are already in lowest terms.
+    return PredictionKey(tuple(units), cfg.d)
+
+
+def day_distribution(tree: TauTree, t: int, cfg: HardSeqConfig) -> RationalDist:
+    """p_t: mass 1/R on one coordinate of D_{r, k_r} per r < R, uniform on D_R."""
+    return hard_law(cfg, day_hot_coordinates(tree, t, cfg))
 
 
 def sample_outcome(p: RationalDist, stream: Stream) -> int:

@@ -41,9 +41,13 @@ coordinates with zero count enter each sum as one exact background term:
 
 KL and entropy reduce the counts by their gcd with the period as they walk
 them, in coordinate order, so their floats are bit for bit those of
-`kl_divergence`/`entropy` on `make_rational_dist(counts, T_l)`.  The
-predictions stay dense `RationalDist`s from `smoothed_prediction`, so the
-recomputation check compares recorded keys with them as they are.
+`kl_divergence`/`entropy` on `make_rational_dist(counts, T_l)`.
+
+Predictions are built from supports too: each interval's prefix is a
+{coordinate: count} map, accumulated from the child pairs the walk already
+has, and `smoothed_prediction` turns it into a dense `RationalDist` at a
+cost that follows the support.  The keys are dense, so the recomputation
+check compares recorded keys with them as they are.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from itertools import compress
 
 from .engine import RunResult
 from .forecaster import smoothed_prediction
+from .simplex import left_sum
 
 # The dense functionals the support walks below reproduce; bound here so
 # that perfbench/tracer.py can patch them by name.
@@ -161,21 +166,17 @@ class RunView:
         preds: list[list[list[RationalDist]]] = []
         for level in range(L, 0, -1):
             t_level = cfg.period(level)
-            z_first = smoothed_prediction([0] * d, 1, t_level, d, m)
+            z_first = smoothed_prediction({}, 1, t_level, d, m)
             parents = []
             per_level = []
             for j in range(0, len(nodes), H):
-                prefix = [0] * d
-                touched = []
+                prefix: dict[int, int] = {}
                 zs = [z_first]
                 for h, child in enumerate(nodes[j : j + H], 2):
                     for i, c in child:
-                        if not prefix[i]:
-                            touched.append(i)
-                        prefix[i] += c
+                        prefix[i] = prefix.get(i, 0) + c
                     zs.append(smoothed_prediction(prefix, h, t_level, d, m))
-                touched.sort()
-                parents.append(tuple([(i, prefix[i]) for i in touched]))
+                parents.append(tuple(sorted(prefix.items())))
                 per_level.append(zs)
             nodes = parents
             by_depth.append(nodes)
@@ -357,11 +358,11 @@ def check_telescope(run) -> TelescopeResult:
         parents = view.ent_by_depth[level - 1]
         children = view.ent_by_depth[level]
         for v in range(H ** (level - 1)):
-            inner += H * parents[v] - sum(children[v * H : v * H + H])
+            inner += H * parents[v] - left_sum(children[v * H : v * H + H])
         lhs += inner / H**level
     lhs /= L
     rhs = (
-        view.ent_by_depth[0][0] - sum(view.ent_by_depth[L]) / H**L
+        view.ent_by_depth[0][0] - left_sum(view.ent_by_depth[L]) / H**L
     ) / L
     return TelescopeResult(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 

@@ -13,11 +13,23 @@ those keys through `next(t, level_keys)`.  A block's days form segments of
 one outcome law each, simulated by one kernel call: one S-day segment when
 the adversary is constant within a block, otherwise S one-day segments; a
 replay's block is one segment of its S recorded outcomes, with no law.  Each
-segment's day counts go into the leaf counts and totals.  In sampled mode
+segment's day counts go into the block's leaf counts.  In sampled mode
 the kernel also returns what it drew, each day's outcome and level, and the
 engine adds each drawn day to the ECE tally of that level's key; a
 point-mass segment adds its per-level day counts at its one outcome.  A
 key's ECE vector appears on the first day the key is realized.
+
+Predictions are built from count supports, {coordinate: count} maps of the
+nonzero counts, so the bookkeeping costs what the days touched, not d.
+Each level keeps two: `prefix`, the completed iterations of its current
+interval, and `delta`, its current iteration.  A block's nonzero leaf
+counts become the deepest level's delta.  The levels that roll over at
+block b are a suffix, those whose iteration length in blocks divides b;
+they are flushed deepest first.  A flush adds the level's delta to its
+key's DCE tally and to its parent's delta, whose iteration holds these
+days, then to its own prefix, or empties the prefix when a new interval
+starts.  Each rolled level's new key is `smoothed_prediction` of its
+prefix, a dense `PredictionKey`.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -49,7 +61,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
+from operator import add
 from typing import Callable, Iterable
 
 from . import _kernel_py
@@ -120,9 +133,10 @@ def _drive(
     per_interval = [H ** (L - l + 1) for l in range(1, L + 1)]
     t_level = [cfg.period(l) for l in range(1, L + 1)]
 
-    totals = [0] * d
-    snap_interval = [[0] * d for _ in range(L)]
-    snap_iter = [[0] * d for _ in range(L)]
+    # Count supports, {0-based coordinate: count}: per level, the completed
+    # iterations of the current interval and the current iteration.
+    prefix: list[dict[int, int]] = [{} for _ in range(L)]
+    delta: list[dict[int, int]] = [{} for _ in range(L)]
     h = [1] * L
     cur_kid = [-1] * L
 
@@ -140,33 +154,45 @@ def _drive(
             keys.append(key)
         return kid
 
-    def flush_iteration(li: int) -> None:
+    def flush_iteration(li: int, interval_ends: bool) -> None:
+        """Close level li's iteration; its parent's iteration holds its days."""
         rec = dce_tallies.get(cur_kid[li])
         if rec is None:
             rec = dce_tallies[cur_kid[li]] = [0] * (d + 1)
         rec[0] += t_level[li]
-        snap = snap_iter[li]
-        for i in range(d):
-            rec[1 + i] += totals[i] - snap[i]
+        done = delta[li]
+        delta[li] = {}
+        for i, c in done.items():
+            rec[1 + i] += c
+        if li:
+            up = delta[li - 1]
+            for i, c in done.items():
+                up[i] = up.get(i, 0) + c
+        if interval_ends:
+            prefix[li] = {}
+            h[li] = 1
+        else:
+            into = prefix[li]
+            if into:
+                for i, c in done.items():
+                    into[i] = into.get(i, 0) + c
+            else:
+                prefix[li] = done  # no one else holds it now
+            h[li] += 1
 
     for b in range(n_blocks):
-        for li in range(L):
-            if b % per_iter[li] == 0:
-                if b > 0:
-                    flush_iteration(li)
-                if b % per_interval[li] == 0:
-                    snap_interval[li] = totals.copy()
-                    h[li] = 1
-                else:
-                    h[li] += 1
-                snap = snap_interval[li]
-                pred = smoothed_prediction(
-                    [totals[i] - snap[i] for i in range(d)], h[li], t_level[li], d, m
-                )
-                kid = intern(pred)
-                cur_kid[li] = kid
-                level_iter_keys[li].append(kid)
-                snap_iter[li] = totals.copy()
+        # Levels li with b % per_iter[li] == 0 roll over: a suffix of the
+        # levels, as per_iter[li - 1] is a multiple of per_iter[li].
+        first = L - 1
+        while first and b % per_iter[first - 1] == 0:
+            first -= 1
+        if b > 0:
+            for li in range(L - 1, first - 1, -1):
+                flush_iteration(li, b % per_interval[li] == 0)
+        for li in range(first, L):
+            kid = intern(smoothed_prediction(prefix[li], h[li], t_level[li], d, m))
+            cur_kid[li] = kid
+            level_iter_keys[li].append(kid)
 
         t_first = b * S + 1
         level_keys = tuple(keys[k] for k in cur_kid)
@@ -181,7 +207,7 @@ def _drive(
         else:
             laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S)]
             n = 1
-        leaf = [0] * d
+        leaf = None
         t = t_first
         for law in laws:
             lv_seg = None
@@ -216,19 +242,17 @@ def _drive(
                 if sampled:
                     for v, x in zip(lv_seg, out_seg):
                         ece_tallies[cur_kid[v]][x - 1] += 1
-            for i in range(d):
-                leaf[i] += counts[i]
+            leaf = counts if leaf is None else list(map(add, leaf, counts))
             if on_day is not None:
                 on_day(t, out_seg, lv_seg, law)
             t += n
         leaf_counts.append(leaf)
-        for i in range(d):
-            totals[i] += leaf[i]
+        delta[L - 1] = dict(zip(compress(range(d), leaf), filter(None, leaf)))
 
     if replaying and next(replay_outcomes, None) is not None:
         raise ConfigInvalid(f"replay needs {T} outcomes, got more")
-    for li in range(L):
-        flush_iteration(li)
+    for li in range(L - 1, -1, -1):
+        flush_iteration(li, True)
 
     return RunResult(
         cfg=cfg,
@@ -287,26 +311,48 @@ def run_from_outcomes(
     )
 
 
-def _tally_abs_sum(tallies: Iterable[tuple[PredictionKey, list[int]]], weight_den: int) -> float:
-    """Sum over keys, in key order, of |key * n_days - outcome counts| / weight_den."""
+def _tally_abs_sum(rows: Iterable[tuple[PredictionKey, list[int]]], weight_den: int) -> float:
+    """Sum of |key * n_days - outcome counts| / weight_den over rows (key, [n_days, *counts]).
+
+    The rows are taken in the order given; each adds its d terms in
+    coordinate order, left to right.
+    """
     total = 0.0
-    for (nums, den), rec in sorted(tallies):
-        n_days, vec = rec[0], rec[1:]
-        for i, nu in enumerate(nums):
-            total += abs(nu * n_days - den * vec[i]) / (den * weight_den)
+    for (nums, den), rec in rows:
+        n_days = rec[0]
+        dw = den * weight_den
+        for nu, c in zip(nums, islice(rec, 1, None)):
+            total += abs(nu * n_days - den * c) / dw
     return total
 
 
 def dce_value(run: RunResult) -> float:
     """Exact distributional calibration error; equals metrics.dce on the expansion."""
     return _tally_abs_sum(
-        ((run.keys[kid], rec) for kid, rec in run.dce_tallies.items()), run.cfg.L
+        sorted((run.keys[kid], rec) for kid, rec in run.dce_tallies.items()), run.cfg.L
     )
 
 
-def ece_of_tallies(tallies: dict[PredictionKey, list[int]]) -> float:
-    """Trajectory calibration error from per-key outcome counts of the realized keys."""
-    return _tally_abs_sum(((key, [sum(vec), *vec]) for key, vec in tallies.items()), 1)
+def ece_of_tallies(tallies: dict, key_of: Callable | None = None) -> float:
+    """Trajectory calibration error from per-key outcome counts of the realized keys.
+
+    `tallies` maps each realized key to its d outcome counts.  With
+    `key_of`, it maps a handle to a {0-based coordinate: count} map
+    instead: handles must sort as their keys `key_of(handle)` do, and each
+    key and its d counts are built only when the ordered sum reaches them.
+    """
+    if key_of is None:
+        rows = sorted((key, [sum(vec), *vec]) for key, vec in tallies.items())
+    else:
+        rows = (_dense_row(key_of(handle), tallies[handle]) for handle in sorted(tallies))
+    return _tally_abs_sum(rows, 1)
+
+
+def _dense_row(key: PredictionKey, counts: dict[int, int]) -> tuple[PredictionKey, list[int]]:
+    rec = [sum(counts.values())] + [0] * key.d
+    for i, c in counts.items():
+        rec[1 + i] = c
+    return key, rec
 
 
 def ece_value(run: RunResult) -> float:

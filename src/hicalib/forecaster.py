@@ -25,17 +25,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
     ConfigInvalid,
+    DimensionMismatch,
     InconsistentCounts,
     OutOfOrderDay,
     OutOfRange,
+    SumMismatch,
+    ZeroDenominator,
 )
 from .rng import Stream
-from .simplex import PredictionKey, RationalDist, make_rational_dist
+from .simplex import PredictionKey, RationalDist
+
+# No prediction goes through make_rational_dist; it stays bound here so that
+# perfbench/tracer.py can patch it by name.
+from .simplex import make_rational_dist  # noqa: F401
 
 DEFAULT_DAY_BUDGET = 2**26
 
@@ -117,21 +125,49 @@ def interval_of(t: int, level: int, cfg: ForecastConfig) -> tuple[int, ...]:
 
 
 def smoothed_prediction(
-    counts: Sequence[int], h: int, t_level: int, d: int, m: int
+    counts: Sequence[int] | dict[int, int], h: int, t_level: int, d: int, m: int
 ) -> RationalDist:
     """The prediction for iteration h given outcome counts of iterations < h.
 
     Exact form: numerators d*C_i + m*T_level over denominator
-    d*(h-1+m)*T_level, then gcd-reduced.
+    d*(h-1+m)*T_level, gcd-reduced.  `counts` is either the d counts or a
+    {0-based coordinate: count} map that may leave out zero counts; the
+    cost follows the support, not d.  Off the support every numerator is
+    the background m*T_level, which enters the gcd only when some
+    coordinate has count 0.  The key equals `make_rational_dist` of the
+    dense numerators.
     """
-    if sum(counts) != (h - 1) * t_level:
+    if isinstance(counts, dict):
+        support = counts
+    elif len(counts) != d:
+        raise DimensionMismatch(f"{len(counts)} counts for d = {d}")
+    else:
+        support = dict(zip(compress(range(d), counts), filter(None, counts)))
+    total = sum(support.values())
+    if total != (h - 1) * t_level:
         raise InconsistentCounts(
-            f"counts sum {sum(counts)} != (h-1)*T_level = {(h - 1) * t_level}"
+            f"counts sum {total} != (h-1)*T_level = {(h - 1) * t_level}"
         )
+    den = d * (h - 1 + m) * t_level
+    if den <= 0:
+        raise ZeroDenominator(f"denominator must be positive, got {den}")
+    if d < 2:
+        raise DimensionMismatch(f"need d >= 2 coordinates, got {d}")
+    if support:
+        if min(support.values()) < 0:
+            raise SumMismatch(f"negative count in {support}")
+        if min(support) < 0 or max(support) >= d:
+            raise DimensionMismatch(f"count coordinates outside [0, {d}): {sorted(support)}")
     smooth = m * t_level
-    return make_rational_dist(
-        tuple(d * c + smooth for c in counts), d * (h - 1 + m) * t_level
-    )
+    nums = [d * c + smooth for c in support.values()]
+    if len(nums) < d:
+        g = math.gcd(den, smooth, *nums)
+    else:
+        g = math.gcd(den, *nums)
+    dense = [smooth // g] * d
+    for i, n in zip(support, nums):
+        dense[i] = n // g
+    return PredictionKey(tuple(dense), den // g)
 
 
 @dataclass

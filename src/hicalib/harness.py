@@ -45,7 +45,8 @@ from .adversary import (
     HardSeqConfig,
     HardSequenceAdversary,
     IIDAdversary,
-    day_distribution,
+    day_hot_coordinates,
+    hard_law,
     sample_outcome,
     sample_tau_tree,
 )
@@ -78,6 +79,7 @@ from .rng import RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Strea
 from .simplex import (
     RationalDist,
     dist_from_json,
+    left_sum,
     make_rational_dist,
     uniform,
 )
@@ -429,7 +431,8 @@ def _mixture_of(mix, memo: dict) -> dict:
             prev = key
     except (TypeError, ValueError, KeyError) as exc:
         raise CorruptRecord(f"bad mixture: {exc}") from None
-    if sum(seen.values()) != 1:
+    lcm = math.lcm(*[w.denominator for w in seen.values()])
+    if sum([w.numerator * (lcm // w.denominator) for w in seen.values()]) != lcm:
         raise CorruptRecord("mixture weights do not sum to 1")
     return seen
 
@@ -632,20 +635,25 @@ def cmd_lowerbound(
             values.append(engine.dce_value(run))
             continue
         # Each day predicts one key with weight 1, so DCE is the calibration
-        # error of the per-key outcome counts.
+        # error of the per-key outcome counts.  The truthful key p_t is held
+        # as its negated one-hot coordinates: all p_t share D_R and put w on
+        # their one-hots, so at the first r where two laws' one-hots differ
+        # the smaller coordinate carries the larger first differing
+        # numerator, and the handles sort as the keys do.
         ostream = derive_stream(seed, ROLE_OUTCOME, trial)
-        tallies: dict[RationalDist, list[int]] = {}
-        uniform_key = uniform(hcfg.d)
+        truthful = forecaster == "truthful"
+        tallies: dict[tuple[int, ...], dict[int, int]] = {}
         for t in range(1, hcfg.T + 1):
-            p_t = day_distribution(tree, t, hcfg)
-            x_t = sample_outcome(p_t, ostream)
-            key = p_t if forecaster == "truthful" else uniform_key
-            vec = tallies.get(key)
-            if vec is None:
-                vec = tallies[key] = [0] * hcfg.d
-            vec[x_t - 1] += 1
-        values.append(engine.ece_of_tallies(tallies))
-    mean = sum(values) / trials
+            hot = day_hot_coordinates(tree, t, hcfg)
+            x = sample_outcome(hard_law(hcfg, hot), ostream) - 1
+            counts = tallies.setdefault(tuple([-i for i in hot]) if truthful else (), {})
+            counts[x] = counts.get(x, 0) + 1
+        if truthful:
+            values.append(engine.ece_of_tallies(tallies, lambda h: hard_law(hcfg, [-i for i in h])))
+        else:
+            uniform_key = uniform(hcfg.d)
+            values.append(engine.ece_of_tallies(tallies, lambda h: uniform_key))
+    mean = left_sum(values) / trials
     stderr = statistics.stdev(values) / math.sqrt(trials)
     eps1_T = float(EpsSchedule(R)[1]) * hcfg.T
     return LowerBoundReport(
@@ -782,7 +790,7 @@ def concentration_arm(cfg: ForecastConfig, q: RationalDist, seed: int, trials: i
         run = engine.simulate(cfg, adv, seed, mode="sampled", trial=trial)
         gap = abs(engine.ece_value(run) - engine.dce_value(run)) / cfg.T
         gaps.append(gap)
-    mean = sum(gaps) / trials
+    mean = left_sum(gaps) / trials
     stderr = statistics.stdev(gaps) / math.sqrt(trials)
     return ConcentrationArm(S=cfg.S, T=cfg.T, mean_gap_per_day=mean, stderr=stderr)
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import MissingMixture, MissingRealizedPrediction
 from .forecaster import ForecastConfig, MixtureRecord
-from .simplex import PredictionKey
+from .simplex import PredictionKey, left_sum
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def ece_estimate(run_factory: Callable[[int], "Transcript | float"], trials: int
     for trial in range(trials):
         out = run_factory(trial)
         values.append(out if isinstance(out, float) else ece_trajectory(out))
-    mean = sum(values) / trials
+    mean = left_sum(values) / trials
     stderr = statistics.stdev(values) / math.sqrt(trials)
     return EceEstimate(mean=mean, stderr=stderr, trials=trials)
 

@@ -73,6 +73,18 @@ def make_rational_dist(numerators: Sequence[int], denominator: int) -> RationalD
     return PredictionKey(nums, denominator)
 
 
+def left_sum(values) -> float:
+    """Float sum from 0.0, left to right, one rounding per term.
+
+    The builtin sum() compensates float sums from Python 3.12 on, which
+    changes the bits of reports that must stay byte-identical.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def uniform(d: int) -> RationalDist:
     return make_rational_dist((1,) * d, d)
 

@@ -163,6 +163,22 @@ class TestDayDistribution:
                 by_prefix.setdefault(prefix, slice_r)
                 assert by_prefix[prefix] == slice_r
 
+    @pytest.mark.parametrize("R,K", ALL_SMALL + [(4, 2)])
+    @pytest.mark.parametrize("seed", [15, 16])
+    def test_equals_the_validating_constructor(self, R, K, seed):
+        cfg = HardSeqConfig(R=R, K=K)
+        tree = sample_tau_tree(cfg, fixed_stream(seed))
+        per_hot = cfg.d // R
+        for t in range(1, cfg.T + 1):
+            tup = day_tuple(t, cfg)
+            units = [0] * cfg.d
+            for r in range(1, R):
+                units[cfg.one_hot_index(r, tup[r - 1], tree[tup[:r]]) - 1] += per_hot
+            for i in cfg.block(R):
+                units[i - 1] += 1
+            got = day_distribution(tree, t, cfg)
+            assert repr(got) == repr(make_rational_dist(units, cfg.d))
+
     def test_missing_tau(self):
         with pytest.raises(MissingTauEntry):
             day_distribution({}, 1, HardSeqConfig(2, 2))

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import fixed_stream
 from hicalib.errors import (
     BudgetExceeded,
     ConfigInvalid,
+    DimensionMismatch,
     InconsistentCounts,
     OutOfOrderDay,
     OutOfRange,
+    SumMismatch,
 )
 from hicalib.forecaster import (
     ForecastConfig,
@@ -111,6 +115,54 @@ class TestPredictLevel:
         state = LevelState(1, [1, 0], [0, 0], 3, uniform(2))
         with pytest.raises(InconsistentCounts):
             predict_level(state, ForecastConfig(d=2, L=1, H=4, S=2, m=1))
+        with pytest.raises(InconsistentCounts):
+            smoothed_prediction({0: 1}, 3, 2, 2, 1)
+
+    @pytest.mark.parametrize("counts", [[3, -1], {0: 3, 1: -1}, {1: 3, 0: -1}])
+    def test_negative_count(self, counts):
+        # d*c + m*T_l = 0 >= 0 here, so only the count itself shows the error
+        with pytest.raises(SumMismatch):
+            smoothed_prediction(counts, 2, 2, 2, 1)
+
+    @pytest.mark.parametrize("counts", [{2: 2}, {-1: 2}, {0: 1, 5: 1}, [2, 0, 0], [2]])
+    def test_coordinate_outside_the_simplex(self, counts):
+        with pytest.raises(DimensionMismatch):
+            smoothed_prediction(counts, 2, 2, 2, 1)
+
+
+@st.composite
+def smoothing_cases(draw):
+    """(counts, h, T_l, d, m) with counts summing to (h-1)*T_l, dense."""
+    d = draw(st.one_of(st.just(2), st.integers(3, 9), st.integers(64, 300)))
+    h = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    full = h > 1 and draw(st.booleans())
+    t_level = draw(st.integers(d if full else 1, 2 * d + 8))
+    counts = [1 if full else 0] * d
+    rest = (h - 1) * t_level - sum(counts)
+    coords = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8))
+    for j, i in enumerate(coords):
+        share = rest if j == len(coords) - 1 else draw(st.integers(0, rest))
+        counts[i] += share
+        rest -= share
+    return counts, h, t_level, d, m
+
+
+class TestSupportForm:
+    @given(smoothing_cases())
+    @example(([0, 0], 1, 3, 2, 2))  # h = 1: no counts at all
+    @example(([1, 1], 2, 2, 2, 1))  # full support: gcd 4, background 2 stays out
+    @example(([0] * 64, 1, 1, 64, 1))
+    def test_equals_the_dense_constructor(self, case):
+        counts, h, t_level, d, m = case
+        want = make_rational_dist(
+            tuple(d * c + m * t_level for c in counts), d * (h - 1 + m) * t_level
+        )
+        support = {i: c for i, c in enumerate(counts) if c}
+        for form in (counts, support, dict(enumerate(counts))):
+            got = smoothed_prediction(form, h, t_level, d, m)
+            assert got == want
+            assert repr(got) == repr(want)
 
 
 class TestObserve:

@@ -27,7 +27,7 @@ from hicalib.harness import (
 )
 from hicalib.metrics import METRICS_CSV_COLUMNS, DayRecord, Transcript, dce
 from hicalib.rng import ROLE_GENERIC, ROLE_OUTCOME, ROLE_TAU, derive_stream
-from hicalib.simplex import uniform
+from hicalib.simplex import left_sum, uniform
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -710,10 +710,20 @@ class TestCmdLowerbound:
             )
         assert rep.mean_dce == pytest.approx(sum(values) / 5, abs=1e-12)
 
-    @pytest.mark.parametrize("forecaster", ["truthful", "uniform"])
-    def test_builds_no_day_records(self, monkeypatch, forecaster):
+    @pytest.mark.parametrize(
+        "forecaster,R,K",
+        [
+            pytest.param("truthful", 2, 3, id="truthful"),
+            pytest.param("uniform", 2, 3, id="uniform"),
+            # several one-hots per law: the truthful tallies' handles must sort as the keys
+            pytest.param("truthful", 3, 3, id="truthful-R3-K3"),
+            pytest.param("truthful", 4, 2, id="truthful-R4-K2"),
+            pytest.param("uniform", 3, 3, id="uniform-R3-K3"),
+        ],
+    )
+    def test_builds_no_day_records(self, monkeypatch, forecaster, R, K):
         # Per-key outcome tallies give metrics.dce of the day records bit for bit.
-        R, K, seed, trials = 2, 3, 29, 4
+        seed, trials = 29, 4
         hcfg = HardSeqConfig(R, K)
         values = []
         for trial in range(trials):
@@ -733,7 +743,7 @@ class TestCmdLowerbound:
         monkeypatch.setattr(harness, "Transcript", refuse)
         monkeypatch.setattr(harness, "DayRecord", refuse)
         rep = cmd_lowerbound(R=R, K=K, forecaster=forecaster, trials=trials, seed=seed)
-        assert rep.mean_dce == sum(values) / trials
+        assert rep.mean_dce == left_sum(values) / trials
         assert rep.stderr == statistics.stdev(values) / math.sqrt(trials)
 
     def test_hierarchical_runs(self):
