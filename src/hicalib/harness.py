@@ -4,26 +4,32 @@ Configuration files are flat ``key = value`` lines (unknown keys are
 errors).  Transcripts are JSONL: a header record with the full
 configuration, then one record per day whose values are all exact integers
 or integer pairs, so identical (config, seed) reruns are byte-identical.
-Certification validates the header (format, ``rng``, ``T == S*H**L``, and
-a config that reads back through the run-config schema to exactly the
-recorded object), then reads the day records in one streaming pass that the
-engine's replay drives: each line is decoded once, its outcome feeds the
-replay, its mixture and realized key are checked against the block's
-mixture rebuilt from the replay's level keys, and a recorded ``adv_dist``
-must be the law that the header's adversary (rebuilt from the recorded
-config and seed) plays that day.  It then recomputes ``metrics.csv`` (DCE
-from the replay, ECE from the realized keys) and compares it byte for byte,
-and runs the full proof certificate on the rebuilt run.  Records are decoded
-strictly: bytes that are not UTF-8, any float, NaN, Infinity or boolean, a
-non-integer ``t`` or ``outcome``, a day record whose keys are not exactly
-the ones ``cmd_run`` writes (``t``, ``outcome``, ``mixture``, plus
-``realized`` iff the run is sampled and ``adv_dist`` iff it records the
-adversary), a mixture not in the form ``cmd_run`` writes (keys strictly
-increasing, each weight ``[n, den]`` in lowest terms with 0 < n <= den),
-or other than T day records is a ``CorruptRecord``.  The
-recorded mixture is constant over each S-day block, so certify
-canonicalises a mixture only when it differs from the previous day's, and
-each distinct key once.
+Certification first checks provenance: a run is a pure function of its
+(config, seed), so certify validates the header (format, ``rng``,
+``T == S*H**L``, and a config that reads back through the run-config schema
+to exactly the recorded object), re-runs that config and seed in memory
+with the writer ``cmd_run`` uses, and compares the bytes it would write
+with the file, segment by segment, without holding either.  On a byte match
+nothing past the header is decoded: the re-simulated run recomputes
+``metrics.csv``, which must match byte for byte, and feeds the full proof
+certificate.  Otherwise the ``transcript-provenance`` row fails with the
+number of the first line that differs, and the file gets the strict parse,
+which rebuilds the run from what it records: each line is decoded once, its
+outcome feeds the engine's replay, its mixture and realized key are checked
+against the block's mixture rebuilt from the replay's level keys, and a
+recorded ``adv_dist`` must be the law that the header's adversary (rebuilt
+from the recorded config and seed) plays that day; ``metrics.csv`` is then
+recomputed from the replay (DCE) and the realized keys (ECE).  The strict
+parse decodes records strictly: bytes that are not UTF-8, any float, NaN,
+Infinity or boolean, a non-integer ``t`` or ``outcome``, a day record
+whose keys are not exactly the ones ``cmd_run`` writes (``t``,
+``outcome``, ``mixture``, plus ``realized`` iff the run is sampled and
+``adv_dist`` iff it records the adversary), a mixture not in the form
+``cmd_run`` writes (keys strictly increasing, each weight ``[n, den]`` in
+lowest terms with 0 < n <= den), or other than T day records is a
+``CorruptRecord``.  The recorded mixture is constant over each S-day block,
+so it canonicalises a mixture only when it differs from the previous day's,
+and each distinct key once.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import os
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import engine, forecaster, metrics
 from .adversary import (
@@ -262,31 +269,11 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     adversary = make_adversary(rc)
-    header = {
-        "T": rc.cfg.T,
-        "config": rc.config_dict(),
-        "format": TRANSCRIPT_FORMAT,
-        "rng": RNG_ID,
-    }
-    sampled = rc.mode == "sampled"
     try:
         os.makedirs(out_dir, exist_ok=True)
         with open(transcript_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            mix_frag, realized_frags = "", []
-
-            def on_block(t, level_keys):
-                nonlocal mix_frag, realized_frags
-                mixture = forecaster.merge_mixture(t, level_keys, rc.cfg.L)
-                mix_frag = json.dumps([
-                    [key.to_json(), [w.numerator, w.denominator]] for key, w in mixture.entries
-                ])
-                realized_frags = [json.dumps(key.to_json()) for key in level_keys]
-
-            def on_day(t_first, outcomes, levels, law):
-                law_frag = json.dumps(law.to_json()) if rc.record_adversary else None
-                fh.write(_day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag))
-
+            header_line, on_block, on_day = _transcript_writer(rc, fh.write)
+            fh.write(header_line)
             run = engine.simulate(
                 rc.cfg, adversary, rc.seed, mode=rc.mode, on_block=on_block, on_day=on_day,
             )
@@ -294,9 +281,49 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
         raise ConfigInvalid(f"cannot write {transcript_path} ({exc.strerror})") from None
 
     dce_val = engine.dce_value(run)
-    ece_val = engine.ece_value(run) if sampled else None
+    ece_val = engine.ece_value(run) if rc.mode == "sampled" else None
     _write_text(metrics_path, _csv_text(_metrics_rows(rc, dce_val, ece_val)))
     return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
+
+
+def _transcript_writer(rc: RunConfig, emit: Callable[[str], object]):
+    """The transcript of `rc` as a header line and two `engine.simulate` sinks.
+
+    Returns (header_line, on_block, on_day).  A simulation of `rc` with these
+    sinks passes each segment's day lines, in order, to `emit`: `cmd_run`
+    writes them and `cmd_certify` compares them with the file.  Each distinct
+    key is serialised once per run, byte-equal to ``json.dumps(key.to_json())``.
+    """
+    header = {
+        "T": rc.cfg.T,
+        "config": rc.config_dict(),
+        "format": TRANSCRIPT_FORMAT,
+        "rng": RNG_ID,
+    }
+    L, record = rc.cfg.L, rc.record_adversary
+    frags: dict[RationalDist, str] = {}
+    mix_frag, realized_frags = "", []
+
+    def frag(key: RationalDist) -> str:
+        text = frags.get(key)
+        if text is None:
+            nums, den = key
+            text = frags[key] = f"[[{', '.join(map(str, nums))}], {den}]"
+        return text
+
+    def on_block(t, level_keys):
+        nonlocal mix_frag, realized_frags
+        entries = forecaster.merge_mixture(t, level_keys, L).entries
+        mix_frag = "[" + ", ".join(
+            [f"[{frag(key)}, [{w.numerator}, {w.denominator}]]" for key, w in entries]
+        ) + "]"
+        realized_frags = [frag(key) for key in level_keys]
+
+    def on_day(t_first, outcomes, levels, law):
+        law_frag = frag(law) if record else None
+        emit(_day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag))
+
+    return json.dumps(header, sort_keys=True) + "\n", on_block, on_day
 
 
 def _day_lines(t_first, outcomes, levels, mix_frag, realized_frags, law_frag) -> str:
@@ -437,18 +464,93 @@ def _mixture_of(mix, memo: dict) -> dict:
     return seen
 
 
-def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
-    """Replay, cross-check, and certify a persisted run; exit 0 iff all checks pass."""
-    transcript_path = os.path.join(run_dir, TRANSCRIPT_NAME)
-    try:
-        fh = open(transcript_path, encoding="utf-8")
-    except OSError as exc:
-        raise MissingTranscript(f"no readable {TRANSCRIPT_NAME} in {run_dir} ({exc.strerror})") from None
+def _strict_decoder():
     # Transcripts hold only integers.  Rejecting floats, NaN and Infinity also
     # makes ``==`` on decoded records match what canonicalising them would
     # conclude (``[1.0, 3] == [1, 3]`` would not be corrupt otherwise), which
     # the consistency check relies on to skip unchanged mixtures.
-    decode = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
+    return json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number).decode
+
+
+# Fewer bytes than the shortest day record `_parse_transcript` accepts:
+# {"mixture":[[[1,1],2],[1,1]]],"outcome":1,"t":1} is 48.
+_MIN_DAY_BYTES = 32
+
+
+class _Differs(Exception):
+    """The regenerated transcript and the file differ first on line ``args[0]``."""
+
+
+def _first_difference(got: bytes, want: bytes) -> int:
+    """Index of the first byte where `got` and `want` differ (one may be a prefix)."""
+    return next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+
+
+def _regenerate(fh) -> tuple[RunConfig | None, engine.RunResult | None, int]:
+    """Re-run the header's config and seed and compare the transcript it writes with `fh`.
+
+    `fh` is the transcript opened in binary mode.  Returns (rc, run, line):
+    on a byte match, line is 0 and run is the re-simulated `RunResult`;
+    otherwise line is the 1-based number of the first line that differs
+    (T + 2 for a file that goes on past its last day) and run is None.  A
+    header that does not decode and validate is line 1 with rc None, and
+    the strict parse says why.  Only the header is decoded.
+
+    Every day record the strict parse accepts is longer than
+    `_MIN_DAY_BYTES`, so a file too short for T of them is reported at line
+    2 without re-running its header's config, whose first segment alone
+    could be any size.
+    """
+    try:
+        rc = _parse_header(fh.readline().decode("utf-8"), _strict_decoder())
+    except (UnicodeDecodeError, CorruptRecord):
+        return None, None, 1
+    if rc.cfg.T * _MIN_DAY_BYTES > os.fstat(fh.fileno()).st_size - fh.tell():
+        return rc, None, 2
+    fh.seek(0)
+    lines = 0
+
+    def compare(text: str) -> None:
+        nonlocal lines
+        want = text.encode()
+        got = fh.read(len(want))
+        if got != want:
+            raise _Differs(lines + want.count(b"\n", 0, _first_difference(got, want)) + 1)
+        lines += text.count("\n")
+
+    header_line, on_block, on_day = _transcript_writer(rc, compare)
+    try:
+        compare(header_line)
+        run = engine.simulate(
+            rc.cfg, make_adversary(rc), rc.seed, mode=rc.mode, on_block=on_block, on_day=on_day,
+        )
+    except _Differs as exc:
+        return rc, None, exc.args[0]
+    if fh.read(1):
+        return rc, None, lines + 1
+    return rc, run, 0
+
+
+class ParsedTranscript(NamedTuple):
+    """What the strict parse of a transcript rebuilt from its lines."""
+
+    rc: RunConfig
+    run: engine.RunResult  # the distributional replay of the recorded outcomes
+    mismatches: int  # days whose mixture, realized key or law is not the replay's
+    realized_tallies: dict  # realized key -> outcome counts (sampled runs)
+
+
+def _parse_transcript(transcript_path: str) -> ParsedTranscript:
+    """Decode every line strictly, replay the outcomes and count inconsistent days.
+
+    Raises `CorruptRecord` on anything `cmd_run` never writes; see the
+    module docstring.  Each line is decoded once.
+    """
+    try:
+        fh = open(transcript_path, encoding="utf-8")
+    except OSError as exc:
+        raise MissingTranscript(f"cannot read {transcript_path} ({exc.strerror})") from None
+    decode = _strict_decoder()
     try:
         with fh:
             rc = _parse_header(fh.readline(), decode)
@@ -546,6 +648,25 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
     except UnicodeDecodeError as exc:
         raise CorruptRecord(f"transcript is not valid UTF-8 ({exc.reason})") from None
 
+    return ParsedTranscript(rc, rebuilt, mismatches, realized_tallies)
+
+
+def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
+    """Regenerate, cross-check, and certify a persisted run; exit 0 iff all checks pass."""
+    transcript_path = os.path.join(run_dir, TRANSCRIPT_NAME)
+    try:
+        fh = open(transcript_path, "rb")
+    except OSError as exc:
+        raise MissingTranscript(f"no readable {TRANSCRIPT_NAME} in {run_dir} ({exc.strerror})") from None
+    with fh:
+        rc, run, differs_at = _regenerate(fh)
+    if differs_at:
+        rc, run, mismatches, realized_tallies = _parse_transcript(transcript_path)
+        ece_val = engine.ece_of_tallies(realized_tallies) if rc.mode == "sampled" else None
+    else:
+        mismatches = 0
+        ece_val = engine.ece_value(run) if rc.mode == "sampled" else None
+
     consistency = CheckRow(
         name="transcript-consistency",
         scope="recorded mixtures vs replayed predictions",
@@ -554,11 +675,7 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         margin=-float(mismatches),
         passed=mismatches == 0,
     )
-    recomputed = _metrics_rows(
-        rc,
-        engine.dce_value(rebuilt),
-        engine.ece_of_tallies(realized_tallies) if sampled else None,
-    )
+    recomputed = _metrics_rows(rc, engine.dce_value(run), ece_val)
     try:
         with open(os.path.join(run_dir, METRICS_NAME), "rb") as fh:
             recorded = fh.read()
@@ -573,11 +690,20 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         margin=-differs,
         passed=not differs,
     )
-    base = certify_run(rebuilt, run_id=rc.run_id)
+    provenance = CheckRow(
+        name="transcript-provenance",
+        scope="first transcript line that differs from a rerun of its header's config and seed",
+        measured=float(differs_at),
+        bound=0.0,
+        margin=-float(differs_at),
+        passed=not differs_at,
+    )
+    base = certify_run(run, run_id=rc.run_id)
+    checks = [consistency, metrics_check, provenance]
     report = CertificateReport(
         run_id=base.run_id,
-        passed=base.passed and consistency.passed and metrics_check.passed,
-        checks=[consistency, metrics_check, *base.checks],
+        passed=base.passed and all(c.passed for c in checks),
+        checks=[*checks, *base.checks],
         chain=base.chain,
     )
     _write_text(os.path.join(run_dir, CERTIFICATE_JSON), report.to_json())

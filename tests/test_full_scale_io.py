@@ -25,4 +25,6 @@ def test_full_scale_cmd_run_and_certify(tmp_path):
     print(f"[slow] cmd_run {write_s:.1f}s, cmd_certify {certify_s:.1f}s")
     assert code == 0 and report.passed
     assert write_s + certify_s < 600.0
+    # certify re-runs the config with cmd_run's writer and decodes no day line
+    assert certify_s <= 3 * write_s
     assert report.chain["A3"] / 2_097_152 <= 2.0

@@ -66,7 +66,8 @@ CASES = (*RUN_CASES, *REPORT_CASES)
 
 # Certificate rows whose measured/bound/margin are exact or correctly rounded.
 EXACT_ROWS = {
-    "transcript-consistency", "metrics-consistency", "recomputation-identity",
+    "transcript-consistency", "metrics-consistency", "transcript-provenance",
+    "recomputation-identity",
     "chain-step1-triangle", "chain-step2-successor-swap", "smoothness-step",
 }
 EXACT_CHAIN = ("A0", "A1", "A2", "dce_per_day", "max_smoothness_gap", "smoothness_violations")

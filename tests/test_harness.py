@@ -533,7 +533,7 @@ class TestCertifyBlockMemo:
             return real(obj)
 
         monkeypatch.setattr(harness, "_canonical_key_of", counting)
-        assert consistency_of(tmp_path / "run") == (0.0, 0)
+        assert harness._parse_transcript(str(tmp_path / "run" / "transcript.jsonl")).mismatches == 0
         cfg = ForecastConfig(d=3, L=2, H=2, S=S, m=2)
         assert 0 < len(calls) <= 2 * cfg.L * cfg.H**cfg.L
 
@@ -619,8 +619,8 @@ class TestCertifyEndOfInput:
         assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
-        path = sampled_run(tmp_path)
+    @staticmethod
+    def _count_decodes(monkeypatch) -> list:
         decoded = []
 
         class CountingDecoder(json.JSONDecoder):
@@ -629,9 +629,26 @@ class TestCertifyEndOfInput:
                 return super().decode(s, *args, **kwargs)
 
         monkeypatch.setattr(json, "JSONDecoder", CountingDecoder)
+        return decoded
+
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        path = sampled_run(tmp_path)
+        decoded = self._count_decodes(monkeypatch)
+        assert harness._parse_transcript(str(path)).mismatches == 0
+        assert decoded == path.read_text().splitlines(True)
+
+    def test_clean_run_decodes_the_header_only(self, tmp_path, monkeypatch):
+        path = sampled_run(tmp_path)
+        decoded = self._count_decodes(monkeypatch)
+        canonicalised = []
+        real = harness._canonical_key_of
+        monkeypatch.setattr(
+            harness, "_canonical_key_of", lambda obj: canonicalised.append(obj) or real(obj)
+        )
         _, code = cmd_certify(str(tmp_path / "run"))
         assert code == 0
-        assert decoded == path.read_text().splitlines(True)
+        assert decoded == path.read_text().splitlines(True)[:1]
+        assert canonicalised == []
 
 
 class TestNonUtf8Bytes:
@@ -656,17 +673,10 @@ class TestNonUtf8Bytes:
         assert "error:" in capsys.readouterr().err
 
 
-def test_certify_survives_random_byte_mutations(tmp_path, capsys):
-    # Seeded offline fuzzer: 1-3 byte replacements, insertions or deletions
-    # of any byte value.  Every mutant must end in a verdict, never a
-    # traceback, and a mutant that passes must decode to the same records.
-    path = sampled_run(tmp_path)
-    clean = path.read_bytes()
-    records = [json.loads(line) for line in clean.splitlines()]
-    gen = derive_stream(2025, ROLE_GENERIC)
-    run_dir = str(tmp_path / "run")
-    codes = []
-    for _ in range(250):
+def _mutants(clean: bytes, seed: int, n: int):
+    """n seeded mutants of `clean`: 1-3 byte replacements, insertions or deletions."""
+    gen = derive_stream(seed, ROLE_GENERIC)
+    for _ in range(n):
         data = bytearray(clean)
         for _ in range(1 + gen.below(3)):
             pos, byte, op = gen.below(len(data)), gen.below(256), gen.below(3)
@@ -676,13 +686,138 @@ def test_certify_survives_random_byte_mutations(tmp_path, capsys):
                 data.insert(pos, byte)
             else:
                 del data[pos]
-        path.write_bytes(bytes(data))
+        yield bytes(data)
+
+
+def test_certify_survives_random_byte_mutations(tmp_path, capsys):
+    # Seeded offline fuzzer of any byte value.  Every mutant must end in a
+    # verdict, never a traceback, and a mutant that passes must be the clean
+    # file itself.
+    path = sampled_run(tmp_path)
+    clean = path.read_bytes()
+    run_dir = str(tmp_path / "run")
+    codes = []
+    for data in _mutants(clean, 2025, 250):
+        path.write_bytes(data)
         codes.append(cli.main(["certify", "--run", run_dir]))
         capsys.readouterr()
         if codes[-1] == 0:
-            assert [json.loads(line) for line in data.splitlines()] == records
+            assert data == clean
     assert set(codes) <= {0, 1, 2}
     assert codes.count(2) > 0
+
+
+FUZZ_RUNS = {
+    "d3-sampled": (SAMPLED_CFG, 3),
+    "d2-distributional": (BASE_CFG.replace("S = 1", "S = 2"), 5),
+    "d16-hard-recorded": (RECORDED_RUNS["hard"], 3),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(FUZZ_RUNS))
+def test_certify_verdicts_match_the_strict_parse(tmp_path, capsys, name):
+    # The strict parse is the oracle: a corrupt mutant exits 2, one with
+    # inconsistent days exits 1, and any other exits 0 iff it is the clean file.
+    text, seed = FUZZ_RUNS[name]
+    cmd_run(write_config(tmp_path, text), seed=seed, out_dir=str(tmp_path / "run"))
+    path = tmp_path / "run" / "transcript.jsonl"
+    clean = path.read_bytes()
+    run_dir = str(tmp_path / "run")
+    seen = []
+    for data in _mutants(clean, 7000 + seed, 1500):
+        path.write_bytes(data)
+        try:
+            expected = 1 if harness._parse_transcript(str(path)).mismatches else int(data != clean)
+        except CorruptRecord:
+            expected = 2
+        assert cli.main(["certify", "--run", run_dir]) == expected
+        capsys.readouterr()
+        seen.append(expected)
+    assert {1, 2} <= set(seen)
+
+
+class TestCertifyProvenance:
+    @pytest.mark.parametrize("name", sorted(TestCertifyMetrics.RUN_CFGS))
+    def test_writer_bytes_are_json_dumps(self, tmp_path, name):
+        # rewrite() re-encodes every record with json.dumps(sort_keys=True)
+        cmd_run(write_config(tmp_path, TestCertifyMetrics.RUN_CFGS[name]), seed=2,
+                out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "transcript.jsonl"
+        clean = path.read_bytes()
+        rewrite(path, lambda recs: None)
+        assert path.read_bytes() == clean
+
+    def test_clean_run_row(self, tmp_path):
+        sampled_run(tmp_path)
+        report, code = cmd_certify(str(tmp_path / "run"))
+        row = report.checks[2]
+        assert code == 0
+        assert (row.name, row.measured, row.bound, row.margin, row.passed) == (
+            "transcript-provenance", 0.0, 0.0, 0.0, True)
+
+    def test_reformatted_header_fails_provenance_only(self, tmp_path):
+        path = sampled_run(tmp_path)
+        lines = path.read_text().splitlines(True)
+        lines[0] = json.dumps(json.loads(lines[0]), sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines))
+        report, code = cmd_certify(str(tmp_path / "run"))
+        assert code == 1
+        assert [(c.name, c.measured) for c in report.checks if not c.passed] == [
+            ("transcript-provenance", 1.0)]
+
+    @pytest.mark.parametrize("cut, line", [("none", 0), ("last-line", 13), ("mid-line", 13),
+                                           ("extra-line", 14), ("header", 1), ("day-5", 6)])
+    def test_first_differing_line(self, tmp_path, cut, line):
+        path = sampled_run(tmp_path, S=3)  # T = 12, lines 1..13
+        data = path.read_bytes()
+        lines = data.splitlines(True)
+        data = {
+            "none": data,
+            "last-line": b"".join(lines[:-1]),
+            "mid-line": data[:-5],
+            "extra-line": data + lines[-1],
+            "header": data.replace(b'"T": 12', b'"T":12', 1),
+            "day-5": data.replace(b'"t": 5}', b'"t": 5 }', 1),
+        }[cut]
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            assert harness._regenerate(fh)[2] == line
+
+    def test_header_too_long_for_the_file_is_not_rerun(self, tmp_path):
+        # a canonical header for T = 2**18 over a file of 16 day lines
+        path = sampled_run(tmp_path)
+        data = path.read_bytes().replace(b'"S": 4', b'"S": 65536', 1)
+        path.write_bytes(data.replace(b'"T": 16', b'"T": 262144', 1))
+        with open(path, "rb") as fh:
+            rc, run, line = harness._regenerate(fh)
+        assert (rc.cfg.T, run, line) == (2**18, None, 2)
+        with pytest.raises(CorruptRecord):
+            cmd_certify(str(tmp_path / "run"))
+
+    def test_outcome_moving_no_metric_fails(self, tmp_path, capsys):
+        # d=16 hard, T=4: an outcome changed on the last day feeds no later
+        # prediction, and 13 of the 15 replacements keep DCE and ECE.
+        cmd_run(write_config(tmp_path, RECORDED_RUNS["hard"]), seed=3, out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "transcript.jsonl"
+        clean = path.read_text()
+        records = [json.loads(line) for line in clean.splitlines()]
+        only_provenance = 0
+        for t in range(1, 5):
+            for x in range(1, 17):
+                if x == records[t]["outcome"]:
+                    continue
+                path.write_text(clean)
+                rewrite(path, _set("outcome", x, t=t))
+                code = cli.main(["certify", "--run", str(tmp_path / "run")])
+                capsys.readouterr()
+                assert code != 0
+                if t == 4:
+                    cert = json.loads((tmp_path / "run" / "certificate.json").read_text())
+                    failing = [(c["name"], c["measured"]) for c in cert["checks"] if not c["pass"]]
+                    assert code == 1 and ("transcript-provenance", 5.0) in failing
+                    only_provenance += failing == [("transcript-provenance", 5.0)]
+        assert only_provenance == 13
 
 
 class TestCmdLowerbound:
