@@ -34,6 +34,14 @@ neighbour.  A call takes one of three paths:
   rejected words, reduces the rest mod m, bisects and counts in Python.  A
   batch never holds more words than values still needed, so the counter
   always stops where `Stream.below` would leave it.
+
+A batch of `PAGE` words or more is packed and decoded on its own.  A
+shorter one, such as a one- or eight-day segment's, is sliced from aligned
+pages of `PAGE` draws (`_page`, draws PAGE·p + 1 .. PAGE·p + PAGE), which a
+small LRU cache keeps per (stream key, page number).  Successive short
+calls on a stream thus pack and decode one page per `PAGE` draws, not one
+batch per call.  A draw depends only on (key, counter), so a page holds
+the same words whichever call first fills it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from bisect import bisect_right
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from operator import mod, sub
 
@@ -53,6 +61,11 @@ _MOD = 1 << 64
 # Lanes per packed integer: bounds the lane constants (3 x 16·CHUNK bytes)
 # and the transient big integers of one batch.
 CHUNK = 2048
+
+# Draws per cached page of `_words`.  On CPython 3.11 a 64-word page took
+# ≈10.5 µs (≈165 ns per word) and a separately packed 8-word batch ≈2.7 µs,
+# so a run of 8-word calls cost ≈1.9 µs per call paged, ≈2.7 µs unpaged.
+PAGE = 64
 
 # The popcount path's cost grows with the number of boundaries, the list
 # path's with its logarithm: at d = 2 or 3 the popcount path was faster for
@@ -105,9 +118,26 @@ def _packed(key: int, ctr: int, n: int) -> int:
     return z ^ (z >> 31)
 
 
+def _batch(key: int, ctr: int, n: int) -> list[int]:
+    """Draws ctr+1 .. ctr+n of the stream `key`, for 1 <= n <= CHUNK, decoded."""
+    return _decode(_packed(key, ctr, n).to_bytes(16 * n, "little"), _BIG_ENDIAN_HOST)
+
+
+@lru_cache(maxsize=8)
+def _page(key: int, page: int) -> list[int]:
+    """Draws PAGE·page + 1 .. PAGE·page + PAGE of the stream `key`; not to be mutated."""
+    return _batch(key, PAGE * page, PAGE)
+
+
 def _words(key: int, ctr: int, n: int) -> list[int]:
     """Draws ctr+1 .. ctr+n of the stream `key`, for 1 <= n <= CHUNK."""
-    return _decode(_packed(key, ctr, n).to_bytes(16 * n, "little"), _BIG_ENDIAN_HOST)
+    if n >= PAGE:
+        return _batch(key, ctr, n)
+    page, at = divmod(ctr, PAGE)
+    words = _page(key, page)[at : at + n]
+    if at + n > PAGE:
+        words += _page(key, page + 1)[: at + n - PAGE]
+    return words
 
 
 def _pow2_counts(key: int, ctr: int, n: int, k: int, bounds: Sequence[int]) -> list[int]:

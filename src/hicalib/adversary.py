@@ -187,7 +187,9 @@ class AdaptiveArgminAdversary:
     predictions, which are a deterministic function of the realized past.
     Coordinate i scores sum_l n_{l,i} * (lcm / den_l) over the level keys
     n_l / den_l: L * lcm times its mixture mass, so the argmin is exact in
-    integers.
+    integers.  Equal level keys are merged first, as in `merge_mixture`:
+    each distinct key n / den is scored once, weighted by its multiplicity
+    c as c * (lcm / den), which gives the same integer scores.
     """
 
     constant_within_block = True
@@ -200,10 +202,13 @@ class AdaptiveArgminAdversary:
     def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         if level_keys is None:
             raise ConfigInvalid("adaptive adversary needs the day's level predictions")
-        lcm = math.lcm(*(key.denominator for key in level_keys))
+        mults: dict[RationalDist, int] = {}
+        for key in level_keys:
+            mults[key] = mults.get(key, 0) + 1
+        lcm = math.lcm(*(key.denominator for key in mults))
         scores = [0] * self.d
-        for nums, den in level_keys:
-            scale = lcm // den
+        for (nums, den), c in mults.items():
+            scale = c * (lcm // den)
             for i, n in enumerate(nums):
                 scores[i] += n * scale
         index = scores.index(min(scores)) + 1

@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             out = harness.cmd_run(args.config, args.seed, args.out,
                                   allow_large=args.allow_large)
-            print(f"run {out.run_id}: T days written to {out.transcript_path}")
+            print(f"run {out.run_id}: {out.T} days written to {out.transcript_path}")
             print(f"dce = {out.dce!r}" + ("" if out.ece is None else f", ece = {out.ece!r}"))
             return 0
         if args.command == "certify":

@@ -29,7 +29,11 @@ they are flushed deepest first.  A flush adds the level's delta to its
 key's DCE tally and to its parent's delta, whose iteration holds these
 days, then to its own prefix, or empties the prefix when a new interval
 starts.  Each rolled level's new key is `smoothed_prediction` of its
-prefix, a dense `PredictionKey`.
+prefix, a dense `PredictionKey`.  That key is a pure function of (level,
+h, prefix support), and in a deep tree most rolled levels see an input
+they have seen before, so the engine maps each distinct input straight to
+its key id: `smoothed_prediction`, and the hash of the dense key that
+interns it, run once per distinct input.
 
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
@@ -142,6 +146,8 @@ def _drive(
 
     keys: list[PredictionKey] = []
     key_index: dict[PredictionKey, int] = {}
+    # A level's prediction is a pure function of (level, h, prefix support).
+    kid_of: dict[tuple[int, int, frozenset], int] = {}
     level_iter_keys: list[list[int]] = [[] for _ in range(L)]
     dce_tallies: dict[int, list[int]] = {}
     ece_tallies: dict[int, list[int]] = defaultdict(lambda: [0] * d)
@@ -190,7 +196,12 @@ def _drive(
             for li in range(L - 1, first - 1, -1):
                 flush_iteration(li, b % per_interval[li] == 0)
         for li in range(first, L):
-            kid = intern(smoothed_prediction(prefix[li], h[li], t_level[li], d, m))
+            given = (li, h[li], frozenset(prefix[li].items()))
+            kid = kid_of.get(given)
+            if kid is None:
+                kid = kid_of[given] = intern(
+                    smoothed_prediction(prefix[li], h[li], t_level[li], d, m)
+                )
             cur_kid[li] = kid
             level_iter_keys[li].append(kid)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -196,12 +197,18 @@ class MixtureRecord:
     entries: tuple[tuple[PredictionKey, Fraction], ...]
 
 
+@cache
+def _level_weight(n: int, L: int) -> Fraction:
+    """n/L, the weight of a key that n of the L levels predict; one object per (n, L)."""
+    return Fraction(n, L)
+
+
 def merge_mixture(t: int, keys: Iterable[PredictionKey], L: int) -> MixtureRecord:
     """Weight 1/L per level, equal keys merged, entries sorted for determinism."""
     mults: dict[PredictionKey, int] = {}
     for k in keys:
         mults[k] = mults.get(k, 0) + 1
-    entries = tuple((k, Fraction(n, L)) for k, n in sorted(mults.items()))
+    entries = tuple((k, _level_weight(n, L)) for k, n in sorted(mults.items()))
     return MixtureRecord(t, entries)
 
 

@@ -82,7 +82,7 @@ from .metrics import (
     metrics_csv_row,
     oracle_dce_direct,
 )
-from .rng import RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Stream, derive_stream, stream_key
+from .rng import MASK64, RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Stream, derive_stream, stream_key
 from .simplex import (
     RationalDist,
     dist_from_json,
@@ -194,6 +194,14 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _seed_in_range(seed: int) -> int:
+    # stream_key reads a seed mod 2**64: two seeds 2**64 apart would write
+    # the same days under different run ids.
+    if not 0 <= seed <= MASK64:
+        raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> RunConfig:
     for key in RUN_REQUIRED:
         if key not in kv:
@@ -206,9 +214,9 @@ def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> Ru
     if mode not in ("distributional", "sampled"):
         raise ConfigInvalid(f"mode must be distributional or sampled, got {mode!r}")
     # a malformed key is an error even where --seed overrides it
-    seed = _int_of(kv, "seed") if "seed" in kv else None
+    seed = _seed_in_range(_int_of(kv, "seed")) if "seed" in kv else None
     if seed_override is not None:
-        seed = seed_override
+        seed = _seed_in_range(seed_override)
     if seed is None:
         raise ConfigInvalid("seed required (config key or --seed)")
     kind = kv.get("adversary", "iid")
@@ -254,6 +262,7 @@ def make_adversary(rc: RunConfig, trial: int = 0):
 @dataclass(frozen=True)
 class RunOutput:
     run_id: str
+    T: int
     transcript_path: str
     metrics_path: str
     dce: float
@@ -283,7 +292,7 @@ def cmd_run(config_path: str, seed: int, out_dir: str, allow_large: bool = False
     dce_val = engine.dce_value(run)
     ece_val = engine.ece_value(run) if rc.mode == "sampled" else None
     _write_text(metrics_path, _csv_text(_metrics_rows(rc, dce_val, ece_val)))
-    return RunOutput(rc.run_id, transcript_path, metrics_path, dce_val, ece_val)
+    return RunOutput(rc.run_id, rc.cfg.T, transcript_path, metrics_path, dce_val, ece_val)
 
 
 def _transcript_writer(rc: RunConfig, emit: Callable[[str], object]):
@@ -292,7 +301,8 @@ def _transcript_writer(rc: RunConfig, emit: Callable[[str], object]):
     Returns (header_line, on_block, on_day).  A simulation of `rc` with these
     sinks passes each segment's day lines, in order, to `emit`: `cmd_run`
     writes them and `cmd_certify` compares them with the file.  Each distinct
-    key is serialised once per run, byte-equal to ``json.dumps(key.to_json())``.
+    key is serialised once per run, byte-equal to ``json.dumps(key.to_json())``,
+    and so is each distinct mixture weight.
     """
     header = {
         "T": rc.cfg.T,
@@ -302,6 +312,7 @@ def _transcript_writer(rc: RunConfig, emit: Callable[[str], object]):
     }
     L, record = rc.cfg.L, rc.record_adversary
     frags: dict[RationalDist, str] = {}
+    weight_frags: dict[tuple[int, int], str] = {}  # a Fraction hashes slower than this formats
     mix_frag, realized_frags = "", []
 
     def frag(key: RationalDist) -> str:
@@ -311,11 +322,18 @@ def _transcript_writer(rc: RunConfig, emit: Callable[[str], object]):
             text = frags[key] = f"[[{', '.join(map(str, nums))}], {den}]"
         return text
 
+    def weight_frag(w: Fraction) -> str:
+        nd = w.numerator, w.denominator
+        text = weight_frags.get(nd)
+        if text is None:
+            text = weight_frags[nd] = f"[{nd[0]}, {nd[1]}]"
+        return text
+
     def on_block(t, level_keys):
         nonlocal mix_frag, realized_frags
         entries = forecaster.merge_mixture(t, level_keys, L).entries
         mix_frag = "[" + ", ".join(
-            [f"[{frag(key)}, [{w.numerator}, {w.denominator}]]" for key, w in entries]
+            [f"[{frag(key)}, {weight_frag(w)}]" for key, w in entries]
         ) + "]"
         realized_frags = [frag(key) for key in level_keys]
 

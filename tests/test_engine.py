@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fixed_stream, random_dist, simulate_recorded
-from hicalib import _kernel_py
+from hicalib import _kernel_py, engine
 from hicalib.adversary import (
     AdaptiveArgminAdversary,
     HardSeqConfig,
@@ -34,6 +34,8 @@ SMALL_CONFIGS = [
     ForecastConfig(d=5, L=1, H=4, S=3, m=1),
     ForecastConfig(d=2, L=3, H=2, S=2, m=2),
     ForecastConfig(d=4, L=2, H=2, S=4, m=3),
+    # deep and narrow: most rolled levels repeat an earlier prediction input
+    ForecastConfig(d=2, L=6, H=2, S=2, m=2),
 ]
 
 
@@ -326,3 +328,48 @@ def test_tallies_match_metrics_under_a_2_70_denominator_law(m):
     tr = expand_to_transcript(run, outcomes, levels)
     assert dce(tr) == dce_value(run)
     assert ece_trajectory(tr) == ece_value(run)
+
+
+def _prediction_inputs(run):
+    """Each level iteration's (level, h, prefix support), rebuilt from the leaf counts."""
+    cfg = run.cfg
+    inputs = []
+    for l in range(1, cfg.L + 1):
+        per_iter = cfg.H ** (cfg.L - l)  # blocks per level-l iteration
+        for j in range(cfg.H**l):
+            start = j - j % cfg.H  # first iteration of j's interval
+            prefix = [0] * cfg.d
+            for leaf in run.leaf_counts[start * per_iter : j * per_iter]:
+                prefix = [a + b for a, b in zip(prefix, leaf)]
+            support = frozenset((i, c) for i, c in enumerate(prefix) if c)
+            inputs.append((l, j % cfg.H + 1, support))
+    return inputs
+
+
+@pytest.mark.parametrize("cfg, make_adv", [
+    pytest.param(ForecastConfig(d=2, L=6, H=2, S=2, m=2),
+                 lambda: AdaptiveArgminAdversary(2), id="adaptive-deep"),
+    pytest.param(ForecastConfig(d=3, L=3, H=3, S=2, m=1),
+                 lambda: IIDAdversary(make_rational_dist([1, 2, 4], 7)), id="iid"),
+])
+def test_each_distinct_prediction_input_is_computed_once(monkeypatch, cfg, make_adv):
+    calls = []
+    predict = engine.smoothed_prediction
+
+    def spy(counts, h, t_level, d, m):
+        calls.append((t_level, h, frozenset(counts.items())))
+        return predict(counts, h, t_level, d, m)
+
+    monkeypatch.setattr(engine, "smoothed_prediction", spy)
+    run = simulate(cfg, make_adv(), seed=8, mode="sampled")
+    inputs = _prediction_inputs(run)
+    assert len(inputs) == sum(len(ids) for ids in run.level_iter_keys)
+    assert len(set(inputs)) < len(inputs)  # the case repeats inputs
+    distinct = {(cfg.period(l), h, sup) for l, h, sup in inputs}
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    # every iteration still gets the key of its own input
+    got = iter(inputs)
+    for ids in run.level_iter_keys:
+        for kid in ids:
+            l, h, sup = next(got)
+            assert run.keys[kid] == predict(dict(sup), h, cfg.period(l), cfg.d, cfg.m)

@@ -225,6 +225,14 @@ class TestMixture:
         mix = merge_mixture(1, [uniform(2), uniform(2), point_mass_key()], 3)
         assert sum(w for _, w in mix.entries) == 1
 
+    def test_weights_are_one_object_per_multiplicity(self):
+        a, b = uniform(2), make_rational_dist([1, 3], 4)
+        first = merge_mixture(1, [a, b, a], 3).entries
+        second = merge_mixture(2, [b, b, a], 3).entries
+        assert first == ((a, Fraction(2, 3)), (b, Fraction(1, 3)))
+        assert second == ((a, Fraction(1, 3)), (b, Fraction(2, 3)))
+        assert first[0][1] is second[1][1] and first[1][1] is second[0][1]
+
     def test_smoothness_per_step_bound(self):
         # consecutive iteration predictions move by at most 2/(h+m), exactly
         cfg = ForecastConfig(d=3, L=1, H=8, S=2, m=2)

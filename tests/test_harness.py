@@ -438,6 +438,10 @@ RECORDED_LAW_EDITS = {
 }
 
 
+# stream_key reads a seed mod 2**64; these alias seeds inside the range
+OUT_OF_RANGE_SEEDS = [-5, -1, 2**64, 2**64 + 3]
+
+
 class TestCertifyStrict:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corruption_exits_2(self, tmp_path, capsys, name):
@@ -492,6 +496,15 @@ class TestCertifyStrict:
     def test_clean_sampled_run_is_consistent(self, tmp_path):
         sampled_run(tmp_path)
         assert consistency_of(tmp_path / "run") == (0.0, 0)
+
+    @pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+    def test_header_seed_outside_64_bits_is_corrupt(self, tmp_path, capsys, seed):
+        # seed 3 + 2**64 would rerun to the very same day lines
+        rewrite(sampled_run(tmp_path), lambda recs: recs[0]["config"].update(seed=seed))
+        with pytest.raises(CorruptRecord, match=r"seed must be in \[0, 2\*\*64\)"):
+            cmd_certify(str(tmp_path / "run"))
+        assert cli.main(["certify", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCertifyBlockMemo:
@@ -956,6 +969,38 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path, "--seed", "4", "--out", out_dir]) == 0
         assert cli.main(["certify", "--run", out_dir]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_run_prints_its_horizon(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BASE_CFG.replace("S = 1", "S = 2"))
+        out_dir = str(tmp_path / "run")
+        assert cli.main(["run", "--config", cfg_path, "--seed", "4", "--out", out_dir]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        run_id = build_run_config(parse_config_file(cfg_path, harness.RUN_KEYS), 4).run_id
+        assert first == f"run {run_id}: 8 days written to {os.path.join(out_dir, 'transcript.jsonl')}"
+
+    @pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed, where):
+        text, flag = BASE_CFG, str(seed)
+        if where == "config":
+            # checked like a malformed key, even where --seed overrides it
+            text, flag = BASE_CFG + f"seed = {seed}\n", "1"
+        with pytest.raises(ConfigInvalid, match=r"seed must be in \[0, 2\*\*64\)"):
+            build_run_config(parse_config_file(write_config(tmp_path, text), harness.RUN_KEYS),
+                             int(flag))
+        out_dir = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, text), "--seed", flag, "--out", str(out_dir)]
+        assert cli.main(argv) == 2
+        assert "error: seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_seed_range_ends_are_accepted(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BASE_CFG)
+        for seed in (0, 2**64 - 1):
+            out_dir = str(tmp_path / f"run-{seed}")
+            assert cli.main(["run", "--config", cfg_path, "--seed", str(seed), "--out", out_dir]) == 0
+            assert cli.main(["certify", "--run", out_dir]) == 0
+        capsys.readouterr()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "d = 2\n")

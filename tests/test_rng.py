@@ -1,9 +1,11 @@
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hicalib import _kernel_py
-from hicalib._kernel_py import CHUNK
+from hicalib._kernel_py import CHUNK, PAGE
 from hicalib.adversary import sample_outcome
 from hicalib.rng import GOLDEN, MASK64, Stream, draw_u64, mix64, stream_key
 from hicalib.simplex import make_rational_dist
@@ -179,6 +181,8 @@ def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
         raise AssertionError("counts-only power-of-two call decoded its words")
 
     monkeypatch.setattr(_kernel_py, "_decode", no_decode)
+    # a short call decodes only a page that no earlier call has cached
+    _kernel_py._page.cache_clear()
     assert _kernel_py.sim_days(*args, False, False) == day_counts
     # any call that samples levels, records a list or has more outcomes
     # still decodes
@@ -243,6 +247,57 @@ def test_lane_words_match_draw_u64(key, n):
     for ctr in (0, 12345, MASK64 - 3):
         want = [draw_u64(key, ctr + i) for i in range(1, n + 1)]
         assert _kernel_py._words(key, ctr, n) == want
+
+
+def _one_batch(key, ctr, n):
+    """Draws ctr+1 .. ctr+n packed and decoded as one batch, never paged."""
+    packed = _kernel_py._packed(key, ctr, n).to_bytes(16 * n, "little")
+    return _kernel_py._decode(packed, _kernel_py._BIG_ENDIAN_HOST)
+
+
+@given(
+    key=st.integers(0, MASK64),
+    ctr=st.one_of(
+        st.integers(0, 4 * PAGE),
+        st.integers(MASK64 - 2 * PAGE, MASK64 + 2 * PAGE),  # across 2**64
+        st.integers(2**64, 2**80),
+    ),
+    n=st.integers(1, 2 * PAGE + 1),
+)
+# calls that straddle a page boundary, one of them where the counter passes 2**64
+@example(key=41, ctr=PAGE - 1, n=2)
+@example(key=41, ctr=2 * PAGE - 1, n=PAGE - 1)
+@example(key=41, ctr=MASK64 - 2, n=8)
+def test_paged_words_equal_one_batch(key, ctr, n):
+    try:
+        assert _kernel_py._words(key, ctr, n) == _one_batch(key, ctr, n)
+        # the same words again, now from the cached pages
+        assert _kernel_py._words(key, ctr, n) == _one_batch(key, ctr, n)
+    finally:
+        _kernel_py._page.cache_clear()
+
+
+def test_one_day_calls_pack_one_page_per_page_of_draws(monkeypatch):
+    packed = []
+    pack = _kernel_py._packed
+
+    def spy_packed(key, ctr, n):
+        packed.append((ctr, n))
+        return pack(key, ctr, n)
+
+    monkeypatch.setattr(_kernel_py, "_packed", spy_packed)
+    _kernel_py._page.cache_clear()
+    s = Stream(77)
+    lctr, seq = 0, []
+    try:
+        for _ in range(3 * PAGE + 5):
+            lctr, counts, day = _kernel_py.draw_level_counts(77, lctr, 1, 4, True)
+            seq += day
+    finally:
+        _kernel_py._page.cache_clear()
+    # four levels reject no word: one draw per day
+    assert seq == [s.below(4) for _ in range(3 * PAGE + 5)] and lctr == s.counter
+    assert packed == [(p * PAGE, PAGE) for p in range(4)]
 
 
 def test_lane_decode_byteswaps_on_big_endian_hosts():
