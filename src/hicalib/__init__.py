@@ -17,7 +17,6 @@ from .adversary import (
     IIDAdversary,
     day_distribution,
     day_tuple,
-    sample_outcome,
     sample_tau_tree,
 )
 from .certificate import (
@@ -29,24 +28,18 @@ from .certificate import (
     check_smoothness,
     check_telescope,
 )
-from .engine import RunResult, dce_value, ece_value, expand_to_transcript, run_from_outcomes, simulate
+from .engine import RunResult, dce_value, ece_value, run_from_outcomes, simulate
 from .forecaster import (
     ForecastConfig,
-    HierarchicalForecaster,
-    LevelState,
     MixtureRecord,
-    interval_of,
     coupled_parameters,
-    predict_level,
     sample_prediction,
     smoothed_prediction,
 )
 from .metrics import (
     DayRecord,
-    RestrictionSpec,
     Transcript,
     dce,
-    dce_restricted,
     ece_estimate,
     ece_trajectory,
     exhaustive_ece,
@@ -58,7 +51,6 @@ from .simplex import (
     RationalDist,
     entropy,
     kl_divergence,
-    l1_distance,
     make_rational_dist,
     point_mass,
     uniform,

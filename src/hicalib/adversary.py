@@ -14,13 +14,11 @@ day's random draws.
 
 Every adversary's `next(t, level_keys)` takes the day and the tuple of the
 L level predictions, level 1 first, and returns the day's law as a
-canonical simplex point (`RationalDist`); `sample_outcome` draws a 1-based
-int outcome from it.
+canonical simplex point (`RationalDist`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,15 +116,6 @@ def day_tuple(t: int, cfg: HardSeqConfig) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def tuple_to_day(tup: tuple[int, ...], cfg: HardSeqConfig) -> int:
-    if len(tup) != cfg.R - 1 or any(not 1 <= k <= cfg.K for k in tup):
-        raise OutOfRange(f"tuple {tup} outside [K]^(R-1)")
-    t = 0
-    for k in tup:
-        t = t * cfg.K + (k - 1)
-    return t + 1
-
-
 def day_hot_coordinates(tree: TauTree, t: int, cfg: HardSeqConfig) -> tuple[int, ...]:
     """0-based coordinates of p_t's one-hots: the tau-th of D_{r, k_r} for r < R."""
     tup = day_tuple(t, cfg)
@@ -154,17 +143,6 @@ def hard_law(cfg: HardSeqConfig, hot: Iterable[int]) -> RationalDist:
 def day_distribution(tree: TauTree, t: int, cfg: HardSeqConfig) -> RationalDist:
     """p_t: mass 1/R on one coordinate of D_{r, k_r} per r < R, uniform on D_R."""
     return hard_law(cfg, day_hot_coordinates(tree, t, cfg))
-
-
-def sample_outcome(p: RationalDist, stream: Stream) -> int:
-    """1-based index i with probability p_i; exact via one uniform draw below the denominator."""
-    u = stream.below(p.denominator)
-    acc = 0
-    for i, n in enumerate(p.numerators):
-        acc += n
-        if u < acc:
-            return i + 1
-    raise AssertionError("distribution does not sum to its denominator")
 
 
 class IIDAdversary:
@@ -234,24 +212,3 @@ class HardSequenceAdversary:
 
     def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         return day_distribution(self.tree, t, self.cfg)
-
-
-def export_hard_sequence_jsonl(path, cfg: HardSeqConfig, tree: TauTree, seed: int | None) -> None:
-    """Header {R, K, d, T, seed} then one {t, tuple, dist} record per day."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"R": cfg.R, "K": cfg.K, "T": cfg.T, "d": cfg.d, "seed": seed}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t in range(1, cfg.T + 1):
-            rec = {
-                "dist": day_distribution(tree, t, cfg).to_json(),
-                "t": t,
-                "tuple": list(day_tuple(t, cfg)),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def export_tau_tree_json(path, tree: TauTree) -> None:
-    entries = [[list(prefix), tau] for prefix, tau in sorted(tree.items())]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"entries": entries}, fh, sort_keys=True)
-        fh.write("\n")

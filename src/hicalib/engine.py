@@ -71,15 +71,14 @@ from typing import Callable, Iterable
 
 from . import _kernel_py
 from .errors import ConfigInvalid
-from .forecaster import (
-    ForecastConfig,
-    MixtureRecord,
-    merge_mixture,
-    smoothed_prediction,
-)
-from .metrics import DayRecord, Transcript
+from .forecaster import ForecastConfig, smoothed_prediction
 from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
 from .simplex import PredictionKey
+
+# The engine builds no mixture; merge_mixture stays bound here so that
+# perfbench/tracer.py can patch it by name.
+from .forecaster import merge_mixture  # noqa: F401
+
 
 @dataclass
 class RunResult:
@@ -99,14 +98,6 @@ class RunResult:
     @property
     def T(self) -> int:
         return self.cfg.T
-
-    def block_key_ids(self, b: int) -> tuple[int, ...]:
-        """Key id of each level's prediction during leaf block b (0-based)."""
-        cfg = self.cfg
-        return tuple(
-            self.level_iter_keys[l][b // cfg.H ** (cfg.L - 1 - l)]
-            for l in range(cfg.L)
-        )
 
 
 def _drive(
@@ -371,39 +362,3 @@ def ece_value(run: RunResult) -> float:
     if run.ece_tallies is None:
         raise ConfigInvalid("run was not simulated in sampled mode")
     return ece_of_tallies({run.keys[kid]: vec for kid, vec in run.ece_tallies.items()})
-
-
-def expand_to_transcript(
-    run: RunResult, outcomes: list[int], levels: list[int] | None = None
-) -> Transcript:
-    """Materialize per-day records from the lists an `on_day` sink recorded.
-
-    `outcomes` holds the run's T outcomes and `levels`, in sampled mode, each
-    day's realized level index.  For tests and desk-scale inspection only.
-    """
-    cfg = run.cfg
-    if len(outcomes) != cfg.T:
-        raise ConfigInvalid(f"expansion needs {cfg.T} outcomes, got {len(outcomes)}")
-    S = cfg.S
-    days: list[DayRecord] = []
-    cached_b = -1
-    mix = None
-    kid_by_level: tuple[int, ...] = ()
-    for t in range(1, cfg.T + 1):
-        b = (t - 1) // S
-        if b != cached_b:
-            cached_b = b
-            kid_by_level = run.block_key_ids(b)
-            mix = merge_mixture(t, (run.keys[kid] for kid in kid_by_level), cfg.L).entries
-        realized = None
-        if levels is not None:
-            realized = run.keys[kid_by_level[levels[t - 1]]]
-        days.append(
-            DayRecord(
-                t=t,
-                mixture=MixtureRecord(t, mix),
-                outcome=outcomes[t - 1],
-                realized=realized,
-            )
-        )
-    return Transcript(cfg.d, days)

@@ -34,7 +34,6 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     InconsistentCounts,
-    OutOfOrderDay,
     OutOfRange,
     SumMismatch,
     ZeroDenominator,
@@ -110,21 +109,6 @@ def coupled_parameters(
     return cfg
 
 
-def interval_of(t: int, level: int, cfg: ForecastConfig) -> tuple[int, ...]:
-    """Mixed-radix coordinates (h_1, ..., h_level) of day t, each in [1, H].
-
-    h_r = floor((t-1) / T_r) mod H + 1; the prefix of length l locates the
-    level-l iteration (equivalently the level-(l+1) interval) containing t.
-    """
-    if not 1 <= level <= cfg.L:
-        raise OutOfRange(f"level {level} outside [1, {cfg.L}]")
-    if not 1 <= t <= cfg.T:
-        raise OutOfRange(f"day {t} outside [1, {cfg.T}]")
-    return tuple(
-        ((t - 1) // cfg.period(r)) % cfg.H + 1 for r in range(1, level + 1)
-    )
-
-
 def smoothed_prediction(
     counts: Sequence[int] | dict[int, int], h: int, t_level: int, d: int, m: int
 ) -> RationalDist:
@@ -171,24 +155,6 @@ def smoothed_prediction(
     return PredictionKey(tuple(dense), den // g)
 
 
-@dataclass
-class LevelState:
-    """One sub-forecaster's mutable bookkeeping within its current interval."""
-
-    level: int
-    counts: list[int]
-    pending: list[int]
-    h: int
-    prediction: RationalDist
-
-
-def predict_level(state: LevelState, cfg: ForecastConfig) -> RationalDist:
-    """Recompute the level's current prediction from its completed-iteration counts."""
-    return smoothed_prediction(
-        state.counts, state.h, cfg.period(state.level), cfg.d, cfg.m
-    )
-
-
 @dataclass(frozen=True)
 class MixtureRecord:
     """Day-t prediction distribution: merged (key, weight) entries, weights sum to 1."""
@@ -210,52 +176,6 @@ def merge_mixture(t: int, keys: Iterable[PredictionKey], L: int) -> MixtureRecor
         mults[k] = mults.get(k, 0) + 1
     entries = tuple((k, _level_weight(n, L)) for k, n in sorted(mults.items()))
     return MixtureRecord(t, entries)
-
-
-class HierarchicalForecaster:
-    """Day-by-day reference implementation (the engine must agree with it exactly)."""
-
-    def __init__(self, cfg: ForecastConfig):
-        self.cfg = cfg
-        u = smoothed_prediction([0] * cfg.d, 1, cfg.period(1), cfg.d, cfg.m)
-        # Eq. at h=1 is the pure smoothing term: uniform at every level.
-        self.states = [
-            LevelState(l, [0] * cfg.d, [0] * cfg.d, 1, u) for l in range(1, cfg.L + 1)
-        ]
-        self._day = 1
-
-    def level_state(self, level: int) -> LevelState:
-        return self.states[level - 1]
-
-    def mixture(self) -> MixtureRecord:
-        """The prediction distribution q_t for the upcoming day."""
-        return merge_mixture(
-            self._day, (st.prediction for st in self.states), self.cfg.L
-        )
-
-    def observe(self, outcome: int, t: int | None = None) -> None:
-        """Consume day t's outcome; rolls iteration/interval boundaries after t."""
-        cfg = self.cfg
-        if self._day > cfg.T:
-            raise OutOfRange(f"horizon T = {cfg.T} already consumed")
-        if t is not None and t != self._day:
-            raise OutOfOrderDay(f"expected day {self._day}, got {t}")
-        if not 1 <= outcome <= cfg.d:
-            raise OutOfRange(f"outcome {outcome} outside [1, {cfg.d}]")
-        day = self._day
-        self._day += 1
-        for st in self.states:
-            st.pending[outcome - 1] += 1
-            t_level = cfg.period(st.level)
-            if day % t_level == 0:  # level's iteration ends after this day
-                if day % cfg.period(st.level - 1) == 0:  # enclosing interval ends
-                    st.counts = [0] * cfg.d
-                    st.h = 1
-                else:
-                    st.counts = [c + p for c, p in zip(st.counts, st.pending)]
-                    st.h += 1
-                st.pending = [0] * cfg.d
-                st.prediction = predict_level(st, cfg)
 
 
 def sample_prediction(mix: MixtureRecord, stream: Stream) -> PredictionKey:

@@ -43,9 +43,10 @@ import os
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from . import engine, forecaster, metrics
+from . import _kernel_py, engine, forecaster, metrics
 from .adversary import (
     AdaptiveArgminAdversary,
     EpsSchedule,
@@ -54,7 +55,6 @@ from .adversary import (
     IIDAdversary,
     day_hot_coordinates,
     hard_law,
-    sample_outcome,
     sample_tau_tree,
 )
 from .certificate import CheckRow, CertificateReport, certify_run
@@ -195,8 +195,8 @@ class RunConfig:
 
 
 def _seed_in_range(seed: int) -> int:
-    # stream_key reads a seed mod 2**64: two seeds 2**64 apart would write
-    # the same days under different run ids.
+    # stream_key reads a seed mod 2**64: two seeds 2**64 apart would draw
+    # the same days, and `run` would write them under different run ids.
     if not 0 <= seed <= MASK64:
         raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
     return seed
@@ -760,6 +760,7 @@ def cmd_lowerbound(
     R: int, K: int, forecaster: str, trials: int, seed: int, m: int = 1
 ) -> LowerBoundReport:
     """Monte Carlo DCE of a forecaster against the hard sequence, vs eps_1 * T."""
+    _seed_in_range(seed)
     if forecaster not in ("truthful", "uniform", "hierarchical"):
         raise InvalidForecaster(f"unknown forecaster {forecaster!r}")
     if trials < 2:
@@ -784,12 +785,19 @@ def cmd_lowerbound(
         # their one-hots, so at the first r where two laws' one-hots differ
         # the smaller coordinate carries the larger first differing
         # numerator, and the handles sort as the keys do.
-        ostream = derive_stream(seed, ROLE_OUTCOME, trial)
+        # Each day's outcome is one day of the engine's kernel on the
+        # trial's outcome stream.
+        okey, octr = stream_key(seed, ROLE_OUTCOME, trial), 0
         truthful = forecaster == "truthful"
         tallies: dict[tuple[int, ...], dict[int, int]] = {}
         for t in range(1, hcfg.T + 1):
             hot = day_hot_coordinates(tree, t, hcfg)
-            x = sample_outcome(hard_law(hcfg, hot), ostream) - 1
+            law = hard_law(hcfg, hot)
+            octr, _, _, (x,), _ = _kernel_py.sim_days(
+                okey, octr, 1, list(accumulate(law.numerators)), law.denominator, hcfg.d,
+                0, 0, 1, False, True,
+            )
+            x -= 1
             counts = tallies.setdefault(tuple([-i for i in hot]) if truthful else (), {})
             counts[x] = counts.get(x, 0) + 1
         if truthful:
@@ -857,6 +865,7 @@ def random_transcript(stream: Stream, max_T: int, max_d: int, max_keys_per_day: 
 def cmd_oracle(trials: int, max_T: int, max_d: int, seed: int, ece_cases: int = 5,
                ece_trials: int = 2000) -> OracleSummary:
     """Randomized equivalence checks: dce vs its brute-force oracle, ECE vs enumeration."""
+    _seed_in_range(seed)
     if trials < 1:
         raise ConfigInvalid(f"need trials >= 1, got {trials}")
     if not 2 <= max_d <= 6:
@@ -943,7 +952,9 @@ def cmd_concentration(config_path: str, trials: int, seed: int) -> Concentration
     """Sampling-vs-mixture gap shrinks with S; the mean gap obeys the 5*eps budget."""
     kv = parse_config_file(config_path, CONCENTRATION_KEYS)
     if "seed" in kv:
-        _int_of(kv, "seed")  # --seed wins, but a malformed key is still an error
+        # --seed wins, but a malformed key is still an error
+        _seed_in_range(_int_of(kv, "seed"))
+    _seed_in_range(seed)
     if trials < 2:
         raise ConfigInvalid(f"need trials >= 2, got {trials}")
     kind = kv.get("adversary", "iid")

@@ -5,9 +5,10 @@ mixture-weighted residual sum_t (p - X_t) mu_t(p); ECE does the same with
 the realized (sampled) predictions in place of the mixture.  Grouping is by
 the exact simplex point (a point is its own key), never by float proximity,
 and the inner residual sums accumulate as exact rationals; each |.| term is
-converted to float exactly once.  A day's outcome is a 1-based int.  A deliberately naive oracle recomputation of DCE is provided
-for randomized cross-checks, together with exhaustive ECE enumeration for
-hand-sized mixtures.
+converted to float exactly once.  A day's outcome is a 1-based int.  A
+deliberately naive oracle recomputation of DCE is provided for randomized
+cross-checks, together with exhaustive ECE enumeration for hand-sized
+mixtures.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ class Transcript:
                     raise ValueError(f"day {rec.t} mixture weights sum to {total}")
 
 
-@dataclass(frozen=True)
-class RestrictionSpec:
-    """Restrict DCE to a day set I, prediction set P, and coordinate set D (1-based)."""
-
-    days: frozenset[int]
-    keys: frozenset[PredictionKey]
-    coords: frozenset[int]
-
-
 def _abs_sum(acc: dict[PredictionKey, list[Fraction]]) -> float:
     """Sum of |.| over (key, coordinate) in sorted key order; one float per term."""
     total = 0.0
@@ -108,33 +100,6 @@ def ece_trajectory(tr: Transcript) -> float:
             vec[i] += Fraction(n, den)
         vec[x] -= 1
     return _abs_sum(acc)
-
-
-def dce_restricted(tr: Transcript, spec: RestrictionSpec) -> float:
-    """DCE limited to spec.days x spec.keys x spec.coords; 0 on empty sets."""
-    if not spec.days or not spec.keys or not spec.coords:
-        return 0.0
-    acc: dict[PredictionKey, dict[int, Fraction]] = {
-        k: {i: Fraction(0) for i in spec.coords} for k in spec.keys
-    }
-    for rec in tr.days:
-        if rec.t not in spec.days:
-            continue
-        if rec.mixture is None:
-            raise MissingMixture(f"day {rec.t} has no mixture")
-        x = rec.outcome
-        for key, w in rec.mixture.entries:
-            if key not in acc:
-                continue
-            den = key.denominator
-            for i, f in acc[key].items():
-                p_i = Fraction(key.numerators[i - 1], den)
-                acc[key][i] = f + w * (p_i - (1 if i == x else 0))
-    total = 0.0
-    for key in sorted(acc):
-        for i in sorted(acc[key]):
-            total += float(abs(acc[key][i]))
-    return total
 
 
 def oracle_dce_direct(tr: Transcript) -> float:

@@ -9,9 +9,9 @@ validating constructor.  Exactness matters because calibration errors group
 days by *equal* predictions: a float-keyed grouping would silently split
 identical predictions.  Outcomes are plain 1-based ints.
 
-Information functionals (entropy, KL, l1 distance) return floats computed
-from the exact representation; the convention 0*ln(0) = 0 applies
-throughout.  Numerators and denominators are arbitrary-precision ints.
+Information functionals (entropy, KL) return floats computed from the
+exact representation, and the l1 distance is an exact rational; the
+convention 0*ln(0) = 0 applies throughout.  Numerators and denominators are arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -107,10 +107,6 @@ def l1_distance_exact(a: RationalDist, b: RationalDist) -> Fraction:
     da, db = a.denominator, b.denominator
     total = sum(abs(na * db - nb * da) for na, nb in zip(a.numerators, b.numerators))
     return Fraction(total, da * db)
-
-
-def l1_distance(a: RationalDist, b: RationalDist) -> float:
-    return float(l1_distance_exact(a, b))
 
 
 def entropy(a: RationalDist) -> float:

@@ -28,7 +28,7 @@ def simulate_recorded(cfg, adversary, seed, **kwargs):
     """`simulate` with a recording `on_day` sink: (run, outcomes, levels).
 
     `levels` lists each day's realized level index, or is None in
-    distributional mode, as `expand_to_transcript` takes them.
+    distributional mode, as `reference.expand_to_transcript` takes them.
     """
     outcomes, levels = [], []
 

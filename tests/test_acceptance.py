@@ -21,7 +21,6 @@ from hicalib.adversary import (
     IIDAdversary,
     day_distribution,
     day_tuple,
-    export_hard_sequence_jsonl,
     sample_tau_tree,
 )
 from hicalib.certificate import RunView, check_chain, check_pseudo_regret, check_smoothness, check_telescope
@@ -36,6 +35,7 @@ from hicalib.harness import (
 )
 from hicalib.metrics import dce, ece_estimate, exhaustive_ece, oracle_dce_direct
 from hicalib.simplex import uniform
+from reference import export_hard_sequence_jsonl
 
 TOL = 1e-9
 

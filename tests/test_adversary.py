@@ -13,15 +13,17 @@ from hicalib.adversary import (
     IIDAdversary,
     day_distribution,
     day_tuple,
-    export_hard_sequence_jsonl,
-    export_tau_tree_json,
-    sample_outcome,
     sample_tau_tree,
-    tuple_to_day,
 )
 from hicalib.errors import ConfigInvalid, MissingTauEntry, OutOfRange
 from hicalib.forecaster import merge_mixture
 from hicalib.simplex import make_rational_dist, point_mass, uniform
+from reference import (
+    export_hard_sequence_jsonl,
+    export_tau_tree_json,
+    sample_outcome,
+    tuple_to_day,
+)
 
 ALL_SMALL = [(R, K) for R in (2, 3) for K in (1, 2, 3)]
 

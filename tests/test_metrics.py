@@ -8,16 +8,15 @@ from hicalib.forecaster import MixtureRecord, sample_prediction
 from hicalib.harness import random_transcript
 from hicalib.metrics import (
     DayRecord,
-    RestrictionSpec,
     Transcript,
     dce,
-    dce_restricted,
     ece_estimate,
     ece_trajectory,
     exhaustive_ece,
     oracle_dce_direct,
 )
 from hicalib.simplex import point_mass, uniform
+from reference import RestrictionSpec, dce_restricted
 
 HALF = uniform(2)
 E1 = point_mass(2, 1)

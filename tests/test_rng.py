@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from hicalib import _kernel_py
 from hicalib._kernel_py import CHUNK, PAGE
-from hicalib.adversary import sample_outcome
 from hicalib.rng import GOLDEN, MASK64, Stream, draw_u64, mix64, stream_key
 from hicalib.simplex import make_rational_dist
+from reference import sample_outcome
 
 
 def test_mix64_reference_values():
