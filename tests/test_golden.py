@@ -6,9 +6,12 @@ certificate's exact parts: every row's name, scope and pass flag, the
 measured/bound/margin of the rows computed from integers or from correctly
 rounded divisions, and the chain's A0..A2.  A3, K_bar, the KL and entropy
 rows and the telescope residual go through ``math.log``, whose last bits
-depend on the platform's libm, so they are left out.  The report cases
-digest the printed ``lowerbound`` and ``concentration`` reports and the
-``oracle`` summary.
+depend on the platform's libm, so they are left out.  A tamper case edits
+a run case's output between ``run`` and ``certify``, so that certify takes
+the mismatch path (strict parse and replay of the recorded outcomes), and
+digests both exit codes and the certificate's exact parts.  The report
+cases digest the printed ``lowerbound`` and ``concentration`` reports and
+the ``oracle`` summary.
 
 Regenerate `golden_digests.json` with ``tests/make_golden.py``, and only
 when an output is meant to change.
@@ -59,10 +62,67 @@ RUN_CASES = {
         + "adversary = hard\nhard_R = 2\nhard_K = 6\nrecord_adversary = true\n", 17),
 }
 
+
+
+def _edit_day(run_dir: Path, t: int, edit) -> None:
+    """Apply `edit` to day t's record and write it back in the writer's form."""
+    path = run_dir / harness.TRANSCRIPT_NAME
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[t])
+    edit(rec)
+    lines[t] = json.dumps(rec, sort_keys=True) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _next_outcome(run_dir: Path) -> None:
+    """The last day's outcome becomes the next coordinate (cyclically)."""
+    lines = (run_dir / harness.TRANSCRIPT_NAME).read_text(encoding="utf-8").splitlines()
+    d = json.loads(lines[0])["config"]["d"]
+    _edit_day(run_dir, len(lines) - 1, lambda rec: rec.update(outcome=rec["outcome"] % d + 1))
+
+
+def _first_mixture_on_day_4(run_dir: Path) -> None:
+    """Day 4 records day 1's mixture, canonical but not its block's."""
+    lines = (run_dir / harness.TRANSCRIPT_NAME).read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[1])["mixture"]
+    _edit_day(run_dir, 4, lambda rec: rec.update(mixture=first))
+
+
+def _move_one_law_unit(run_dir: Path) -> None:
+    """Day 1's recorded adv_dist moves one unit from its first nonzero coordinate."""
+    def edit(rec):
+        nums = rec["adv_dist"][0]
+        i = next(i for i, n in enumerate(nums) if n)
+        nums[i] -= 1
+        nums[(i + 1) % len(nums)] += 1
+    _edit_day(run_dir, 1, edit)
+
+
+def _delete_metrics(run_dir: Path) -> None:
+    (run_dir / harness.METRICS_NAME).unlink()
+
+
+def _compact_header(run_dir: Path) -> None:
+    """The header re-serialised without spaces after its separators."""
+    path = run_dir / harness.TRANSCRIPT_NAME
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    header = json.dumps(json.loads(header), sort_keys=True, separators=(",", ":"))
+    path.write_text(header + "\n" + rest, encoding="utf-8")
+
+
+# name -> (run case, edit of its run directory between run and certify)
+TAMPER_CASES = {
+    "tamper-last-outcome": ("iid-sampled-record", _next_outcome),
+    "tamper-mixture-swap": ("iid-distributional", _first_mixture_on_day_4),
+    "tamper-adv-dist-unit": ("hard-S1-distributional-record", _move_one_law_unit),
+    "tamper-metrics-deleted": ("adaptive-distributional", _delete_metrics),
+    "tamper-header-separators": ("adaptive-sampled", _compact_header),
+}
+
 REPORT_CASES = ("lowerbound-truthful", "lowerbound-uniform", "lowerbound-hierarchical",
                 "oracle", "concentration")
 
-CASES = (*RUN_CASES, *REPORT_CASES)
+CASES = (*RUN_CASES, *TAMPER_CASES, *REPORT_CASES)
 
 # Certificate rows whose measured/bound/margin are exact or correctly rounded.
 EXACT_ROWS = {
@@ -99,7 +159,8 @@ def certificate_exact_parts(cert: dict) -> dict:
     }
 
 
-def _run_digests(name: str, workdir: Path) -> dict[str, str]:
+def _run_and_certify(name: str, workdir: Path, tamper=None) -> tuple[dict[str, str], Path]:
+    """Run case `name`, apply `tamper` to its output, certify it; digest both."""
     text, seed = RUN_CASES[name]
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "run.cfg"
@@ -107,14 +168,21 @@ def _run_digests(name: str, workdir: Path) -> dict[str, str]:
     run_dir = workdir / "run"
     run_code, _ = _cli(["run", "--config", str(cfg_path), "--seed", str(seed),
                         "--out", str(run_dir)])
+    if tamper is not None:
+        tamper(run_dir)
     certify_code, _ = _cli(["certify", "--run", str(run_dir)])
     cert = json.loads((run_dir / harness.CERTIFICATE_JSON).read_text(encoding="utf-8"))
     return {
         "exit_codes": f"{run_code} {certify_code}",
-        "transcript": _sha((run_dir / harness.TRANSCRIPT_NAME).read_bytes()),
-        "metrics": _sha((run_dir / harness.METRICS_NAME).read_bytes()),
         "certificate_exact": _sha(json.dumps(certificate_exact_parts(cert), sort_keys=True)),
-    }
+    }, run_dir
+
+
+def _run_digests(name: str, workdir: Path) -> dict[str, str]:
+    digests, run_dir = _run_and_certify(name, workdir)
+    digests["transcript"] = _sha((run_dir / harness.TRANSCRIPT_NAME).read_bytes())
+    digests["metrics"] = _sha((run_dir / harness.METRICS_NAME).read_bytes())
+    return digests
 
 
 def _report_digests(name: str, workdir: Path) -> dict[str, str]:
@@ -140,6 +208,9 @@ def case_digests(name: str, workdir: Path) -> dict[str, str]:
     """The digests of one golden case, computed in a fresh `workdir`."""
     if name in RUN_CASES:
         return _run_digests(name, workdir)
+    if name in TAMPER_CASES:
+        case, tamper = TAMPER_CASES[name]
+        return _run_and_certify(case, workdir, tamper)[0]
     return _report_digests(name, workdir)
 
 
