@@ -59,6 +59,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .engine import RunResult
+from .errors import OutOfRange
 from .forecaster import smoothed_prediction
 from .simplex import left_sum
 
@@ -77,7 +78,23 @@ TOL = 1e-9
 
 @dataclass(frozen=True)
 class CheckRow:
-    """One audited inequality or identity; pass means margin >= -1e-9."""
+    """One audited inequality or identity.
+
+    Most rows pass by one of three rules, each built by its constructor:
+
+    - `zero`: a count of defects n (measured n, bound 0, margin -n), which
+      passes iff n == 0;
+    - `upper`: a float inequality measured <= bound, which passes iff the
+      margin bound - measured is >= -TOL;
+    - `exact`: an inequality lo <= hi between `Fraction`s, which passes iff
+      it holds exactly; its floats only report it.
+
+    Three rows keep their own rule, written where it is computed:
+    `smoothness-step` compares each step's gap with its bound in exact
+    integers, `pseudo-regret-tight` checks each interval's tight bound and,
+    where it applies, the coarse one, and `telescope-identity` checks
+    |residual| <= TOL.
+    """
 
     name: str
     scope: str
@@ -85,6 +102,19 @@ class CheckRow:
     bound: float
     margin: float
     passed: bool
+
+    @classmethod
+    def zero(cls, name: str, scope: str, n: int) -> CheckRow:
+        return cls(name, scope, float(n), 0.0, -float(n), n == 0)
+
+    @classmethod
+    def upper(cls, name: str, scope: str, measured: float, bound: float) -> CheckRow:
+        margin = bound - measured
+        return cls(name, scope, measured, bound, margin, margin >= -TOL)
+
+    @classmethod
+    def exact(cls, name: str, scope: str, lo: Fraction, hi: Fraction) -> CheckRow:
+        return cls(name, scope, float(lo), float(hi), float(hi - lo), lo <= hi)
 
 
 @dataclass(frozen=True)
@@ -108,9 +138,12 @@ class TelescopeResult:
 @dataclass
 class CertificateReport:
     run_id: str
-    passed: bool
     checks: list[CheckRow]
     chain: dict[str, float]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,16 +290,10 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
                 level_max = max(level_max, n / D)
                 min_margin = min(min_margin, (2 * D - n * k) / (k * D))
         violations += bad
-        rows.append(
-            CheckRow(
-                name="smoothness-step",
-                scope=f"level={level}",
-                measured=level_max,
-                bound=2.0 / m,
-                margin=min_margin,
-                passed=bad == 0 and level_max <= 2.0 / m,
-            )
-        )
+        rows.append(CheckRow(
+            name="smoothness-step", scope=f"level={level}", measured=level_max,
+            bound=2.0 / m, margin=min_margin, passed=bad == 0 and level_max <= 2.0 / m,
+        ))
         max_gap = max(max_gap, level_max)
     return rows, max_gap, violations
 
@@ -283,6 +310,8 @@ def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretRes
     """
     view = _view(run)
     cfg = view.cfg
+    if not (1 <= level <= cfg.L and 0 <= interval_index < len(view.preds[level - 1])):
+        raise OutOfRange(f"no interval {interval_index} at level {level} (L = {cfg.L})")
     H, d, m = cfg.H, cfg.d, cfg.m
     t_level = cfg.period(level)
     children = view.dist_by_depth[level]
@@ -330,16 +359,10 @@ def check_pseudo_regret_all(run) -> tuple[list[CheckRow], list[PseudoRegretResul
                 min_margin = margin
                 worst = res
             ok = ok and res.passed
-        rows.append(
-            CheckRow(
-                name="pseudo-regret-tight",
-                scope=f"level={level}",
-                measured=worst.lhs,
-                bound=worst.tight_bound,
-                margin=min_margin,
-                passed=ok,
-            )
-        )
+        rows.append(CheckRow(
+            name="pseudo-regret-tight", scope=f"level={level}", measured=worst.lhs,
+            bound=worst.tight_bound, margin=min_margin, passed=ok,
+        ))
     return rows, results
 
 
@@ -407,14 +430,7 @@ def check_recomputation(run: RunResult, view: RunView | None = None) -> CheckRow
                 cells += 1
                 if run.keys[recorded[v * cfg.H + h - 1]] != zs[h - 1]:
                     mismatches += 1
-    return CheckRow(
-        name="recomputation-identity",
-        scope="all levels",
-        measured=float(mismatches),
-        bound=0.0,
-        margin=-float(mismatches),
-        passed=mismatches == 0,
-    )
+    return CheckRow.zero("recomputation-identity", "all levels", mismatches)
 
 
 def check_chain(run, run_id: str = "") -> CertificateReport:
@@ -459,59 +475,20 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
     kl_budget = math.log(d) / L + c_bar
 
     checks = [
+        CheckRow.exact("chain-step1-triangle", "A0 <= A1", a0, a1),
+        CheckRow.exact("chain-step2-successor-swap", "A1 <= A2", a1, a2),
+        CheckRow.upper("chain-step3-cs-pinsker", "A2 <= A3", float(a2), a3),
+        CheckRow.upper("chain-step4-kl-budget", "K_bar <= ln(d)/L + C_bar", k_bar, kl_budget),
         CheckRow(
-            name="chain-step1-triangle",
-            scope="A0 <= A1",
-            measured=float(a0),
-            bound=float(a1),
-            margin=float(a1 - a0),
-            passed=a0 <= a1,
-        ),
-        CheckRow(
-            name="chain-step2-successor-swap",
-            scope="A1 <= A2",
-            measured=float(a1),
-            bound=float(a2),
-            margin=float(a2 - a1),
-            passed=a1 <= a2,
-        ),
-        CheckRow(
-            name="chain-step3-cs-pinsker",
-            scope="A2 <= A3",
-            measured=float(a2),
-            bound=a3,
-            margin=a3 - float(a2),
-            passed=a3 - float(a2) >= -TOL,
-        ),
-        CheckRow(
-            name="chain-step4-kl-budget",
-            scope="K_bar <= ln(d)/L + C_bar",
-            measured=k_bar,
-            bound=kl_budget,
-            margin=kl_budget - k_bar,
-            passed=kl_budget - k_bar >= -TOL,
-        ),
-        CheckRow(
-            name="telescope-identity",
-            scope="levels 1..L",
-            measured=tele.lhs,
-            bound=tele.rhs,
-            margin=TOL - abs(tele.residual),
-            passed=abs(tele.residual) <= TOL,
+            name="telescope-identity", scope="levels 1..L", measured=tele.lhs, bound=tele.rhs,
+            margin=TOL - abs(tele.residual), passed=abs(tele.residual) <= TOL,
         ),
     ]
     if coarse_regime:
-        coarse_budget = math.log(d) / L + 1.0 / (m * m)
-        checks.append(
-            CheckRow(
-                name="chain-step4-fixed-slack",
-                scope="K_bar <= ln(d)/L + 1/m^2",
-                measured=k_bar,
-                bound=coarse_budget,
-                margin=coarse_budget - k_bar,
-                passed=coarse_budget - k_bar >= -TOL,
-            )
-        )
+        checks.append(CheckRow.upper(
+            "chain-step4-fixed-slack", "K_bar <= ln(d)/L + 1/m^2",
+            k_bar, math.log(d) / L + 1.0 / (m * m),
+        ))
     checks.extend(smooth_rows)
     checks.extend(pr_rows)
     checks.append(check_recomputation(run, view))
@@ -528,12 +505,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
         "max_smoothness_gap": max_gap,
         "smoothness_violations": float(violations),
     }
-    return CertificateReport(
-        run_id=run_id,
-        passed=all(c.passed for c in checks),
-        checks=checks,
-        chain=chain,
-    )
+    return CertificateReport(run_id, checks, chain)
 
 
 def certify_run(run, run_id: str = "") -> CertificateReport:

@@ -72,7 +72,7 @@ from typing import Callable, Iterable
 from . import _kernel_py
 from .errors import ConfigInvalid
 from .forecaster import ForecastConfig, smoothed_prediction
-from .rng import ROLE_LEVEL, ROLE_OUTCOME, stream_key
+from .rng import ROLE_LEVEL, ROLE_OUTCOME, seed_in_range, stream_key
 from .simplex import PredictionKey
 
 # The engine builds no mixture; merge_mixture stays bound here so that
@@ -121,7 +121,7 @@ def _drive(
         replay_outcomes = iter(replay_outcomes)
     need_outcomes = on_day is not None
 
-    okey, octr = stream_key(seed, ROLE_OUTCOME, trial), 0
+    okey, octr = stream_key(seed_in_range(seed), ROLE_OUTCOME, trial), 0
     lkey, lctr = stream_key(seed, ROLE_LEVEL, trial), 0
 
     per_iter = [H ** (L - l) for l in range(1, L + 1)]  # blocks per level-l iteration
@@ -220,6 +220,8 @@ def _drive(
                     raise ConfigInvalid(f"replay needs {T} outcomes, got {b * S + len(out_seg)}")
                 counts = [0] * d
                 for x in out_seg:
+                    if type(x) is not int or not 1 <= x <= d:
+                        raise ConfigInvalid(f"replay outcome {x!r} is not an integer in [1, {d}]")
                     counts[x - 1] += 1
             elif law.d != d:
                 raise ConfigInvalid(f"adversary dimension {law.d} != forecaster d {d}")

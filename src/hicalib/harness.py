@@ -82,7 +82,10 @@ from .metrics import (
     metrics_csv_row,
     oracle_dce_direct,
 )
-from .rng import MASK64, RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Stream, derive_stream, stream_key
+from .rng import (
+    RNG_ID, ROLE_GENERIC, ROLE_LEVEL, ROLE_OUTCOME, ROLE_TAU, Stream, derive_stream, seed_in_range,
+    stream_key,
+)
 from .simplex import (
     RationalDist,
     dist_from_json,
@@ -194,14 +197,6 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _seed_in_range(seed: int) -> int:
-    # stream_key reads a seed mod 2**64: two seeds 2**64 apart would draw
-    # the same days, and `run` would write them under different run ids.
-    if not 0 <= seed <= MASK64:
-        raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
-    return seed
-
-
 def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> RunConfig:
     for key in RUN_REQUIRED:
         if key not in kv:
@@ -214,9 +209,9 @@ def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> Ru
     if mode not in ("distributional", "sampled"):
         raise ConfigInvalid(f"mode must be distributional or sampled, got {mode!r}")
     # a malformed key is an error even where --seed overrides it
-    seed = _seed_in_range(_int_of(kv, "seed")) if "seed" in kv else None
+    seed = seed_in_range(_int_of(kv, "seed")) if "seed" in kv else None
     if seed_override is not None:
-        seed = _seed_in_range(seed_override)
+        seed = seed_in_range(seed_override)
     if seed is None:
         raise ConfigInvalid("seed required (config key or --seed)")
     kind = kv.get("adversary", "iid")
@@ -685,13 +680,8 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
         mismatches = 0
         ece_val = engine.ece_value(run) if rc.mode == "sampled" else None
 
-    consistency = CheckRow(
-        name="transcript-consistency",
-        scope="recorded mixtures vs replayed predictions",
-        measured=float(mismatches),
-        bound=0.0,
-        margin=-float(mismatches),
-        passed=mismatches == 0,
+    consistency = CheckRow.zero(
+        "transcript-consistency", "recorded mixtures vs replayed predictions", mismatches
     )
     recomputed = _metrics_rows(rc, engine.dce_value(run), ece_val)
     try:
@@ -699,30 +689,19 @@ def cmd_certify(run_dir: str) -> tuple[CertificateReport, int]:
             recorded = fh.read()
     except OSError:
         recorded = None
-    differs = float(recorded != _csv_text(recomputed).encode())
-    metrics_check = CheckRow(
-        name="metrics-consistency",
-        scope=f"{METRICS_NAME} vs metrics recomputed from the transcript",
-        measured=differs,
-        bound=0.0,
-        margin=-differs,
-        passed=not differs,
+    metrics_check = CheckRow.zero(
+        "metrics-consistency",
+        f"{METRICS_NAME} vs metrics recomputed from the transcript",
+        int(recorded != _csv_text(recomputed).encode()),
     )
-    provenance = CheckRow(
-        name="transcript-provenance",
-        scope="first transcript line that differs from a rerun of its header's config and seed",
-        measured=float(differs_at),
-        bound=0.0,
-        margin=-float(differs_at),
-        passed=not differs_at,
+    provenance = CheckRow.zero(
+        "transcript-provenance",
+        "first transcript line that differs from a rerun of its header's config and seed",
+        differs_at,
     )
     base = certify_run(run, run_id=rc.run_id)
-    checks = [consistency, metrics_check, provenance]
     report = CertificateReport(
-        run_id=base.run_id,
-        passed=base.passed and all(c.passed for c in checks),
-        checks=[*checks, *base.checks],
-        chain=base.chain,
+        base.run_id, [consistency, metrics_check, provenance, *base.checks], base.chain
     )
     _write_text(os.path.join(run_dir, CERTIFICATE_JSON), report.to_json())
     _write_text(os.path.join(run_dir, CERTIFICATE_CSV), _csv_text(report.csv_rows()))
@@ -760,7 +739,7 @@ def cmd_lowerbound(
     R: int, K: int, forecaster: str, trials: int, seed: int, m: int = 1
 ) -> LowerBoundReport:
     """Monte Carlo DCE of a forecaster against the hard sequence, vs eps_1 * T."""
-    _seed_in_range(seed)
+    seed_in_range(seed)
     if forecaster not in ("truthful", "uniform", "hierarchical"):
         raise InvalidForecaster(f"unknown forecaster {forecaster!r}")
     if trials < 2:
@@ -865,7 +844,7 @@ def random_transcript(stream: Stream, max_T: int, max_d: int, max_keys_per_day: 
 def cmd_oracle(trials: int, max_T: int, max_d: int, seed: int, ece_cases: int = 5,
                ece_trials: int = 2000) -> OracleSummary:
     """Randomized equivalence checks: dce vs its brute-force oracle, ECE vs enumeration."""
-    _seed_in_range(seed)
+    seed_in_range(seed)
     if trials < 1:
         raise ConfigInvalid(f"need trials >= 1, got {trials}")
     if not 2 <= max_d <= 6:
@@ -953,8 +932,8 @@ def cmd_concentration(config_path: str, trials: int, seed: int) -> Concentration
     kv = parse_config_file(config_path, CONCENTRATION_KEYS)
     if "seed" in kv:
         # --seed wins, but a malformed key is still an error
-        _seed_in_range(_int_of(kv, "seed"))
-    _seed_in_range(seed)
+        seed_in_range(_int_of(kv, "seed"))
+    seed_in_range(seed)
     if trials < 2:
         raise ConfigInvalid(f"need trials >= 2, got {trials}")
     kind = kv.get("adversary", "iid")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigInvalid
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 # SplitMix64 finalizer multipliers.
@@ -42,6 +44,17 @@ def mix64(z: int) -> int:
 def draw_u64(key: int, index: int) -> int:
     """Value of draw `index` (1-based) of the stream with the given key."""
     return mix64((key + GOLDEN * index) & MASK64)
+
+
+def seed_in_range(seed: int) -> int:
+    """Return `seed`, or raise ConfigInvalid unless it is in [0, 2**64).
+
+    stream_key reads a seed mod 2**64: two seeds 2**64 apart would draw the
+    same days, and `run` would write them under different run ids.
+    """
+    if not 0 <= seed <= MASK64:
+        raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def stream_key(seed: int, role: int, trial: int = 0) -> int:

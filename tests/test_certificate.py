@@ -23,6 +23,7 @@ from hicalib.certificate import (
     check_telescope,
 )
 from hicalib.engine import run_from_outcomes, simulate
+from hicalib.errors import OutOfRange
 from hicalib.forecaster import ForecastConfig, smoothed_prediction
 from hicalib.simplex import entropy, l1_distance_exact, make_rational_dist, uniform
 
@@ -52,6 +53,13 @@ def random_run(tag, cfg=None, mode="distributional", adversary=None):
 
 
 class TestPseudoRegret:
+    @pytest.mark.parametrize("level, v", [(0, 0), (3, 0), (1, -1), (1, 1), (2, 2)])
+    def test_interval_outside_the_tree_is_out_of_range(self, level, v):
+        run = run_from_outcomes(ForecastConfig(d=2, L=2, H=2, S=1, m=1), [1, 2, 2, 1])
+        check_pseudo_regret(run, 2, 1)  # the last interval exists
+        with pytest.raises(OutOfRange):
+            check_pseudo_regret(run, level, v)
+
     def test_hand_case(self):
         run = run_from_outcomes(ForecastConfig(d=2, L=1, H=2, S=1, m=1), [1, 2])
         res = check_pseudo_regret(run, level=1, interval_index=0)

@@ -100,6 +100,22 @@ def test_replay_needs_exactly_T_outcomes(n):
         run_from_outcomes(cfg, (1 for _ in range(n)))
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3, True, 1.0])
+def test_replay_rejects_outcomes_it_cannot_count(bad):
+    # 0 and -1 would count as coordinates d and d-1, True as 1
+    cfg = ForecastConfig(d=2, L=1, H=2, S=1, m=1)
+    with pytest.raises(ConfigInvalid, match=r"not an integer in \[1, 2\]"):
+        run_from_outcomes(cfg, [1, bad])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_refuses_a_seed_outside_64_bits(seed):
+    # read mod 2**64, -1 would draw the days of 2**64 - 1 and record seed -1
+    cfg = ForecastConfig(d=2, L=1, H=2, S=1, m=1)
+    with pytest.raises(ConfigInvalid, match=r"seed must be in \[0, 2\*\*64\)"):
+        simulate(cfg, IIDAdversary(uniform(2)), seed)
+
+
 def test_replay_shows_each_block_mixture_before_pulling_its_days():
     cfg = ForecastConfig(d=2, L=2, H=2, S=3, m=1)
     _, recorded, _ = simulate_recorded(cfg, IIDAdversary(uniform(2)), seed=4)
