@@ -63,7 +63,6 @@ RUN_CASES = {
 }
 
 
-
 def _edit_day(run_dir: Path, t: int, edit) -> None:
     """Apply `edit` to day t's record and write it back in the writer's form."""
     path = run_dir / harness.TRANSCRIPT_NAME
