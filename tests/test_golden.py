@@ -54,6 +54,10 @@ RUN_CASES = {
     "adaptive-sampled": (
         _HEAD.format(d=2, L=3, H=2, S=2, m=1, mode="sampled")
         + "adversary = adaptive_argmin\n", 2),
+    # six levels whose intervals mostly repeat: 6 distinct of 63
+    "adaptive-sampled-deep": (
+        _HEAD.format(d=2, L=6, H=2, S=2, m=1, mode="sampled")
+        + "adversary = adaptive_argmin\n", 0),
     "hard-S1-distributional-record": (
         _HEAD.format(d=18, L=2, H=2, S=1, m=1, mode="distributional")
         + "adversary = hard\nhard_R = 3\nhard_K = 2\nrecord_adversary = true\n", 3),
