@@ -48,6 +48,25 @@ Predictions are built from supports too: each interval's prefix is a
 has, and `smoothed_prediction` turns it into a dense `RationalDist` at a
 cost that follows the support.  The keys are dense, so the recomputation
 check compares recorded keys with them as they are.
+
+Every per-interval term is a function of the interval's child counts, so
+each is computed once per distinct interval.  `RunView` interns the tree's
+nodes from the leaf counts alone (never from the engine's key ids): equal
+(coordinate, count) pairs at one depth share a node id, and an interval is
+the tuple of its H child ids.  Per distinct interval the checks compute:
+
+  smoothness     the largest gap, the smallest margin and the violations;
+                 max and min do not depend on order, and violations add up
+                 over the intervals that share them;
+  pseudo-regret  lhs, the tight and coarse bounds and their verdicts, then
+                 one `PseudoRegretResult` per interval with its own index;
+  chain          the A1/A2 numerators, added times the interval's count
+                 (exact integers), and the H KL terms of K-bar;
+  telescope      the entropy drop H*Ent(parent) - sum_h Ent(child).
+
+The float sums K-bar, C-bar and the telescope still add one term per cell
+or interval, in (level, interval, h) order, so their bits are those of a
+walk over every cell.  The recomputation check compares every recorded key.
 """
 
 from __future__ import annotations
@@ -183,6 +202,16 @@ class RunView:
     coordinate order, zero counts left out.  `ent_by_depth` holds each
     node's empirical entropy and `preds[l-1][v]` the dense predictions
     z_1..z_{H+1} of interval v at level l.
+
+    Nodes are interned as the tree is built.  Equal pairs at one depth get
+    one node id: a leaf's pairs are hashed once, and a parent is looked up
+    by the tuple of its H child ids, so its pairs are hashed only when that
+    tuple is new.  An interval is such a tuple; `interval_ids[l-1][v]` is
+    the id of interval v at level l and `interval_firsts[l-1][k]` the first
+    v with id k.  Each distinct interval's prefix, predictions and parent
+    pairs are built once, and each distinct node's entropy is computed
+    once; equal nodes and intervals share those objects in the per-depth
+    lists above.
     """
 
     def __init__(self, run: RunResult):
@@ -190,38 +219,55 @@ class RunView:
         cfg = run.cfg
         self.cfg = cfg
         d, H, L, m = cfg.d, cfg.H, cfg.L, cfg.m
-        nodes = [tuple(_support(leaf)) for leaf in run.leaf_counts]
-        by_depth = [nodes]
+        index: dict[tuple, int] = {}
+        ids = [index.setdefault(tuple(_support(leaf)), len(index)) for leaf in run.leaf_counts]
+        pairs = list(index)  # node id -> pairs
+        by_depth = [[pairs[i] for i in ids]]
+        ent_by_depth = [_entropies(pairs, ids, cfg.period(L))]
         # Predictions z_1..z_{H+1} per (level, interval); z_{H+1} is the
         # never-played successor of the last iteration.  z_1 is the same
         # smoothed uniform point for every interval of a level.  The prefix
         # after all H children is the parent's counts.
         preds: list[list[list[RationalDist]]] = []
+        interval_ids: list[list[int]] = []
+        interval_firsts: list[list[int]] = []
         for level in range(L, 0, -1):
             t_level = cfg.period(level)
             z_first = smoothed_prediction({}, 1, t_level, d, m)
-            parents = []
-            per_level = []
-            for j in range(0, len(nodes), H):
+            by_children: dict[tuple[int, ...], int] = {}
+            index = {}
+            firsts: list[int] = []
+            intervals: list[int] = []
+            parent_of: list[int] = []
+            zs_of: list[list[RationalDist]] = []
+            for v, children in enumerate(zip(*[iter(ids)] * H)):
+                k = by_children.setdefault(children, len(firsts))
+                intervals.append(k)
+                if k < len(firsts):
+                    continue
+                firsts.append(v)
                 prefix: dict[int, int] = {}
                 zs = [z_first]
-                for h, child in enumerate(nodes[j : j + H], 2):
-                    for i, c in child:
+                for h, child in enumerate(children, 2):
+                    for i, c in pairs[child]:
                         prefix[i] = prefix.get(i, 0) + c
                     zs.append(smoothed_prediction(prefix, h, t_level, d, m))
-                parents.append(tuple(sorted(prefix.items())))
-                per_level.append(zs)
-            nodes = parents
-            by_depth.append(nodes)
-            preds.append(per_level)
-        by_depth.reverse()
-        preds.reverse()
+                zs_of.append(zs)
+                parent_of.append(index.setdefault(tuple(sorted(prefix.items())), len(index)))
+            ids = [parent_of[k] for k in intervals]
+            pairs = list(index)
+            by_depth.append([pairs[i] for i in ids])
+            ent_by_depth.append(_entropies(pairs, ids, cfg.period(level - 1)))
+            preds.append([zs_of[k] for k in intervals])
+            interval_ids.append(intervals)
+            interval_firsts.append(firsts)
+        for per_level in (by_depth, ent_by_depth, preds, interval_ids, interval_firsts):
+            per_level.reverse()
         self.dist_by_depth = by_depth  # index = depth 0..L
-        self.ent_by_depth = [
-            [_entropy(pairs, cfg.period(depth)) for pairs in nodes]
-            for depth, nodes in enumerate(by_depth)
-        ]
+        self.ent_by_depth = ent_by_depth
         self.preds = preds
+        self.interval_ids = interval_ids
+        self.interval_firsts = interval_firsts
 
 
 def _support(row):
@@ -238,6 +284,12 @@ def _entropy(pairs, total: int) -> float:
         n = c // g
         s += n * math.log(n)
     return max(math.log(den) - s / den, 0.0)
+
+
+def _entropies(pairs: list[tuple], ids: list[int], total: int) -> list[float]:
+    """The entropy of each node, computed once per distinct node id."""
+    ents = [_entropy(p, total) for p in pairs]
+    return [ents[i] for i in ids]
 
 
 def _kl(pairs, total: int, p: RationalDist) -> float:
@@ -260,6 +312,8 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
     """Per-step bound l1(z_h, z_{h+1}) <= 2/(h+m), checked in exact rationals.
 
     Returns (one row per level, max gap observed, number of violations).
+    Each distinct interval's steps are checked once: a level's max and min
+    do not depend on order, and its violations add up per interval.
     """
     view = _view(run)
     cfg = view.cfg
@@ -269,26 +323,11 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
     violations = 0
     for level in range(1, cfg.L + 1):
         nodes = view.dist_by_depth[level]
-        level_max = 0.0
-        min_margin = math.inf
-        bad = 0
-        for v, zs in enumerate(view.preds[level - 1]):
-            seen: set[int] = set()
-            for h in range(1, H + 1):
-                seen.update([i for i, _ in nodes[v * H + h - 1]])
-                (na, da), (nb, db) = zs[h - 1], zs[h]
-                # outside the seen coordinates both prefix counts are zero
-                ba = m * da // (d * (h - 1 + m))
-                bb = m * db // (d * (h + m))
-                # gap = n/D against the bound 2/k, compared as integers
-                n = (d - len(seen)) * abs(ba * db - bb * da) + sum(
-                    [abs(na[i] * db - nb[i] * da) for i in seen]
-                )
-                D, k = da * db, h + m
-                if n * k > 2 * D:
-                    bad += 1
-                level_max = max(level_max, n / D)
-                min_margin = min(min_margin, (2 * D - n * k) / (k * D))
+        preds = view.preds[level - 1]
+        steps = [_steps(nodes, preds[v], v, d, H, m) for v in view.interval_firsts[level - 1]]
+        level_max = max([gap for gap, _, _ in steps])
+        min_margin = min([margin for _, margin, _ in steps])
+        bad = sum([steps[k][2] for k in view.interval_ids[level - 1]])
         violations += bad
         rows.append(CheckRow(
             name="smoothness-step", scope=f"level={level}", measured=level_max,
@@ -296,6 +335,30 @@ def check_smoothness(run) -> tuple[list[CheckRow], float, int]:
         ))
         max_gap = max(max_gap, level_max)
     return rows, max_gap, violations
+
+
+def _steps(nodes, zs, v: int, d: int, H: int, m: int) -> tuple[float, float, int]:
+    """(largest gap, smallest margin, violations) over interval v's H steps."""
+    seen: set[int] = set()
+    gap_max = 0.0
+    min_margin = math.inf
+    bad = 0
+    for h in range(1, H + 1):
+        seen.update([i for i, _ in nodes[v * H + h - 1]])
+        (na, da), (nb, db) = zs[h - 1], zs[h]
+        # outside the seen coordinates both prefix counts are zero
+        ba = m * da // (d * (h - 1 + m))
+        bb = m * db // (d * (h + m))
+        # gap = n/D against the bound 2/k, compared as integers
+        n = (d - len(seen)) * abs(ba * db - bb * da) + sum(
+            [abs(na[i] * db - nb[i] * da) for i in seen]
+        )
+        D, k = da * db, h + m
+        if n * k > 2 * D:
+            bad += 1
+        gap_max = max(gap_max, n / D)
+        min_margin = min(min_margin, (2 * D - n * k) / (k * D))
+    return gap_max, min_margin, bad
 
 
 def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretResult:
@@ -343,25 +406,31 @@ def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretRes
 
 
 def check_pseudo_regret_all(run) -> tuple[list[CheckRow], list[PseudoRegretResult]]:
+    """One result per interval, each distinct interval's bounds computed once.
+
+    A level's worst interval is the first one of smallest margin; distinct
+    intervals are numbered in order of first appearance, so it is the first
+    distinct one of smallest margin.
+    """
     view = _view(run)
     cfg = view.cfg
     rows = []
     results = []
     for level in range(1, cfg.L + 1):
-        min_margin = math.inf
-        worst = None
-        ok = True
-        for v in range(cfg.H ** (level - 1)):
-            res = check_pseudo_regret(view, level, v)
+        distinct = [check_pseudo_regret(view, level, v) for v in view.interval_firsts[level - 1]]
+        for v, k in enumerate(view.interval_ids[level - 1]):
+            res = distinct[k]
+            if res.interval_index != v:
+                res = PseudoRegretResult(
+                    level, v, res.lhs, res.tight_bound, res.coarse_bound, res.passed,
+                    res.coarse_applies,
+                )
             results.append(res)
-            margin = res.tight_bound - res.lhs
-            if margin < min_margin:
-                min_margin = margin
-                worst = res
-            ok = ok and res.passed
+        worst = min(distinct, key=lambda res: res.tight_bound - res.lhs)
         rows.append(CheckRow(
             name="pseudo-regret-tight", scope=f"level={level}", measured=worst.lhs,
-            bound=worst.tight_bound, margin=min_margin, passed=ok,
+            bound=worst.tight_bound, margin=worst.tight_bound - worst.lhs,
+            passed=all(res.passed for res in distinct),
         ))
     return rows, results
 
@@ -371,17 +440,24 @@ def check_telescope(run) -> TelescopeResult:
 
     (1/L) sum_l H^{-l} sum_{h<l} [H Ent(parent) - sum_h Ent(child)]
         = (1/L) [Ent(global average) - H^{-L} sum_leaves Ent(leaf)].
+
+    Each distinct interval's entropy drop is computed once and added to its
+    level's sum at every interval that has it, in interval order.
     """
     view = _view(run)
     cfg = view.cfg
     H, L = cfg.H, cfg.L
     lhs = 0.0
     for level in range(1, L + 1):
-        inner = 0.0
         parents = view.ent_by_depth[level - 1]
         children = view.ent_by_depth[level]
-        for v in range(H ** (level - 1)):
-            inner += H * parents[v] - left_sum(children[v * H : v * H + H])
+        drops = [
+            H * parents[v] - left_sum(children[v * H : v * H + H])
+            for v in view.interval_firsts[level - 1]
+        ]
+        inner = 0.0
+        for k in view.interval_ids[level - 1]:
+            inner += drops[k]
         lhs += inner / H**level
     lhs /= L
     rhs = (
@@ -395,8 +471,10 @@ def _exact_sum(nums_by_den: dict[int, int]) -> Fraction:
     return sum((Fraction(n, den) for den, n in nums_by_den.items()), Fraction(0))
 
 
-def _add_scaled_l1(nums_by_den: dict[int, int], z: RationalDist, pairs, t: int) -> None:
-    """Add t*l1(z, counts/t) to nums_by_den as an integer over den(z).
+def _add_scaled_l1(
+    nums_by_den: dict[int, int], z: RationalDist, pairs, t: int, times: int = 1
+) -> None:
+    """Add `times` copies of t*l1(z, counts/t) to nums_by_den, over den(z).
 
     Off the support each term |z_i*t - 0| is z_i*t, and all d of them sum
     to t*den(z), so the sum walks the (coordinate, count) pairs only.
@@ -406,7 +484,7 @@ def _add_scaled_l1(nums_by_den: dict[int, int], z: RationalDist, pairs, t: int) 
     for i, c in pairs:
         nt = nums[i] * t
         total += abs(nt - c * den) - nt
-    nums_by_den[den] = nums_by_den.get(den, 0) + total
+    nums_by_den[den] = nums_by_den.get(den, 0) + total * times
 
 
 def _dce_exact(run: RunResult) -> Fraction:
@@ -416,18 +494,20 @@ def _dce_exact(run: RunResult) -> Fraction:
     return _exact_sum(nums_by_den) / run.cfg.L
 
 
-def check_recomputation(run: RunResult, view: RunView | None = None) -> CheckRow:
-    """Recorded iteration keys must equal predictions recomputed from raw counts."""
-    view = view or RunView(run)
+def check_recomputation(run) -> CheckRow:
+    """Recorded iteration keys must equal predictions recomputed from raw counts.
+
+    Takes a run or its `RunView`; every recorded key is compared.
+    """
+    view = _view(run)
+    run = view.run
     cfg = view.cfg
     mismatches = 0
-    cells = 0
     for level in range(1, cfg.L + 1):
         recorded = run.level_iter_keys[level - 1]
         for v in range(cfg.H ** (level - 1)):
             zs = view.preds[level - 1][v]
             for h in range(1, cfg.H + 1):
-                cells += 1
                 if run.keys[recorded[v * cfg.H + h - 1]] != zs[h - 1]:
                     mismatches += 1
     return CheckRow.zero("recomputation-identity", "all levels", mismatches)
@@ -450,12 +530,27 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
         t_level = cfg.period(level)
         weight = H**level
         nodes = view.dist_by_depth[level]
-        for v, zs in enumerate(view.preds[level - 1]):
+        preds = view.preds[level - 1]
+        ids = view.interval_ids[level - 1]
+        firsts = view.interval_firsts[level - 1]
+        times = [0] * len(firsts)
+        for k in ids:
+            times[k] += 1
+        # each distinct interval's integer numerators once, times its count;
+        # its H KL terms are added to K_bar at every interval that has them
+        kl_terms = []
+        for v, n in zip(firsts, times):
+            zs = preds[v]
+            terms = []
             for h in range(1, H + 1):
                 pairs = nodes[v * H + h - 1]
-                _add_scaled_l1(a1_nums, zs[h - 1], pairs, t_level)
-                _add_scaled_l1(a2_nums, zs[h], pairs, t_level)
-                k_bar += _kl(pairs, t_level, zs[h]) / weight
+                _add_scaled_l1(a1_nums, zs[h - 1], pairs, t_level, n)
+                _add_scaled_l1(a2_nums, zs[h], pairs, t_level, n)
+                terms.append(_kl(pairs, t_level, zs[h]) / weight)
+            kl_terms.append(terms)
+        for k in ids:
+            for term in kl_terms[k]:
+                k_bar += term
     a1 = _exact_sum(a1_nums) / L
     a2 = _exact_sum(a2_nums) / L + Fraction(2 * T, m)
     k_bar /= L
@@ -491,7 +586,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
         ))
     checks.extend(smooth_rows)
     checks.extend(pr_rows)
-    checks.append(check_recomputation(run, view))
+    checks.append(check_recomputation(view))
 
     chain = {
         "A0": float(a0),

@@ -18,6 +18,7 @@ from hicalib.certificate import (
     certify_run,
     check_chain,
     check_pseudo_regret,
+    check_pseudo_regret_all,
     check_recomputation,
     check_smoothness,
     check_telescope,
@@ -25,7 +26,13 @@ from hicalib.certificate import (
 from hicalib.engine import run_from_outcomes, simulate
 from hicalib.errors import OutOfRange
 from hicalib.forecaster import ForecastConfig, smoothed_prediction
-from hicalib.simplex import entropy, l1_distance_exact, make_rational_dist, uniform
+from hicalib.simplex import (
+    entropy,
+    l1_distance_exact,
+    make_rational_dist,
+    point_mass,
+    uniform,
+)
 
 # Hand evaluation of the d=2, H=2, m=1 interval with outcomes (1, 2):
 # w1=(1,0), w2=(0,1); z2=(3/4,1/4), z3=(1/2,1/2)
@@ -202,6 +209,27 @@ class TestRecomputation:
         tampered[cell[0]][cell[1]] = 0
         run2 = dataclasses.replace(run, level_iter_keys=tampered)
         assert not check_recomputation(run2).passed
+
+    def test_takes_a_view(self):
+        run = random_run(502)
+        assert check_recomputation(RunView(run)).passed
+
+    def test_view_is_checked_against_its_own_run(self):
+        # a view carries its run, so no run can be paired with another's view
+        deep = run_from_outcomes(ForecastConfig(d=2, L=2, H=2, S=1, m=1), [1, 2, 2, 1])
+        shallow = run_from_outcomes(ForecastConfig(d=2, L=1, H=2, S=1, m=1), [1, 2])
+        for run in (deep, shallow):
+            row = check_recomputation(RunView(run))
+            assert (row.passed, row.measured) == (True, 0.0)
+        with pytest.raises(TypeError):
+            check_recomputation(deep, RunView(shallow))
+
+    def test_tampered_keys_detected_through_a_view(self):
+        run = random_run(503)
+        tampered = [list(level) for level in run.level_iter_keys]
+        tampered[-1][-1] = next(k for k in range(len(run.keys)) if k != tampered[-1][-1])
+        row = check_recomputation(RunView(dataclasses.replace(run, level_iter_keys=tampered)))
+        assert (row.passed, row.measured) == (False, 1.0)
 
     def test_tampered_outcome_breaks_certificate(self):
         cfg = ForecastConfig(d=2, L=2, H=2, S=2, m=1)
@@ -409,6 +437,63 @@ def test_wide_runs_match_dense_references(name):
     assert_chain_matches_reference(run)
     assert_support_walks_match_dense(run)
     assert check_chain(run).passed
+
+
+@st.composite
+def repeating_runs(draw):
+    """Runs whose interval subtrees repeat: d=2 and an even S, driven by the
+    adaptive adversary or a point-mass iid law."""
+    H = draw(st.integers(2, 3))
+    cfg = ForecastConfig(
+        d=2, L=draw(st.integers(1, 5 if H == 2 else 3)), H=H,
+        S=2 * draw(st.integers(1, 3)), m=draw(st.integers(1, 3)),
+    )
+    if draw(st.booleans()):
+        adversary = AdaptiveArgminAdversary(2)
+    else:
+        adversary = IIDAdversary(point_mass(2, draw(st.integers(1, 2))))
+    mode = draw(st.sampled_from(["distributional", "sampled"]))
+    return simulate(cfg, adversary, seed=draw(st.integers(0, 2**32)), mode=mode)
+
+
+def dense_telescope_lhs(view):
+    """The telescope's left side, one entropy drop per interval, in order."""
+    H, L = view.cfg.H, view.cfg.L
+    lhs = 0.0
+    for level in range(1, L + 1):
+        inner = 0.0
+        parents, children = view.ent_by_depth[level - 1], view.ent_by_depth[level]
+        for v in range(H ** (level - 1)):
+            s = 0.0
+            for ent in children[v * H : v * H + H]:
+                s += ent
+            inner += H * parents[v] - s
+        lhs += inner / H**level
+    return lhs / L
+
+
+@given(repeating_runs())
+def test_repeating_subtrees_match_dense_references(run):
+    assert_chain_matches_reference(run)
+    assert_support_walks_match_dense(run)
+    cfg = run.cfg
+    view = RunView(run)
+    dense = [
+        check_pseudo_regret(view, level, v)
+        for level in range(1, cfg.L + 1)
+        for v in range(cfg.H ** (level - 1))
+    ]
+    _, results = check_pseudo_regret_all(view)
+    assert repr(results) == repr(dense)
+    c_bar = 0.0
+    for res in dense:
+        parent = view.ent_by_depth[res.level - 1][res.interval_index]
+        c_bar += (res.tight_bound - cfg.H * parent) / cfg.H**res.level
+    rep = check_chain(view)
+    assert repr((rep.chain["C_bar"], check_telescope(view).lhs)) == repr(
+        (c_bar / cfg.L, dense_telescope_lhs(view))
+    )
+    assert rep.passed
 
 
 BIG = st.integers(1, 2**300)

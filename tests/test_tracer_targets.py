@@ -55,6 +55,18 @@ def test_install_restore_round_trips(tracer_mod):
     assert [owner.__dict__[attr] for owner, attr, *_ in targets] == before
 
 
+def _distinct_intervals(run):
+    """Distinct (level, child counts) intervals, from the dense leaf counts."""
+    H = run.cfg.H
+    nodes = [tuple(leaf) for leaf in run.leaf_counts]
+    distinct = 0
+    for _ in range(run.cfg.L):
+        intervals = [tuple(nodes[j : j + H]) for j in range(0, len(nodes), H)]
+        distinct += len(set(intervals))
+        nodes = [tuple(map(sum, zip(*children))) for children in intervals]
+    return distinct
+
+
 def test_certificate_counts(tracer_mod):
     cfg = ForecastConfig(d=2, L=3, H=2, S=1, m=1)
     run = simulate(cfg, IIDAdversary(uniform(2)), seed=0)
@@ -62,10 +74,21 @@ def test_certificate_counts(tracer_mod):
     tracer.run_op(0, certificate.certify_run, run)
     # one cell per node of the interval tree, depths 0..L
     assert tracer.op_counts[0]["certificate.cells"] == sum(cfg.H**k for k in range(cfg.L + 1))
-    # per level: one shared z_1, then z_2..z_{H+1} for each of H**(l-1) intervals
-    assert tracer.op_layers(0)["forecaster.predictions"] == sum(
-        1 + cfg.H**level for level in range(1, cfg.L + 1)
-    )
+    # per level one shared z_1, then z_2..z_{H+1} once per distinct interval
+    expected = cfg.L + cfg.H * _distinct_intervals(run)
+    assert expected == 15  # of the 17 a per-interval walk makes
+    assert tracer.op_layers(0)["forecaster.predictions"] == expected
+
+
+def test_certificate_predicts_once_per_distinct_interval(tracer_mod):
+    # the adaptive adversary at even S splits every block evenly: one
+    # distinct interval per level
+    cfg = ForecastConfig(d=2, L=8, H=2, S=2, m=1)
+    run = simulate(cfg, AdaptiveArgminAdversary(cfg.d), seed=0)
+    assert _distinct_intervals(run) == cfg.L
+    tracer = tracer_mod.Tracer()
+    tracer.run_op(0, certificate.certify_run, run)
+    assert tracer.op_layers(0)["forecaster.predictions"] == cfg.L * (1 + cfg.H)
 
 
 def test_simulation_builds_no_mixture(tracer_mod):
