@@ -58,15 +58,18 @@ the tuple of its H child ids.  Per distinct interval the checks compute:
   smoothness     the largest gap, the smallest margin and the violations;
                  max and min do not depend on order, and violations add up
                  over the intervals that share them;
-  pseudo-regret  lhs, the tight and coarse bounds and their verdicts, then
-                 one `PseudoRegretResult` per interval with its own index;
+  pseudo-regret  one `PseudoRegretResult`, at the interval's first
+                 appearance: lhs, the tight and coarse bounds and their
+                 verdicts; its C-bar term is (tight - H*Ent(parent))/H**l;
   chain          the A1/A2 numerators, added times the interval's count
                  (exact integers), and the H KL terms of K-bar;
   telescope      the entropy drop H*Ent(parent) - sum_h Ent(child).
 
-The float sums K-bar, C-bar and the telescope still add one term per cell
-or interval, in (level, interval, h) order, so their bits are those of a
-walk over every cell.  The recomputation check compares every recorded key.
+The float sums K-bar and C-bar (across levels) and each level's telescope
+sum still add one term per cell or interval: `left_sum` walks the distinct
+terms looked up in (level, interval, h) order, so their bits are those of
+a walk over every cell.  The recomputation check compares every recorded
+key.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 from .engine import RunResult
 from .errors import OutOfRange
@@ -405,33 +408,27 @@ def check_pseudo_regret(run, level: int, interval_index: int) -> PseudoRegretRes
     )
 
 
-def check_pseudo_regret_all(run) -> tuple[list[CheckRow], list[PseudoRegretResult]]:
-    """One result per interval, each distinct interval's bounds computed once.
+def check_pseudo_regret_all(run) -> tuple[list[CheckRow], list[list[PseudoRegretResult]]]:
+    """One row per level and one result per distinct interval.
 
-    A level's worst interval is the first one of smallest margin; distinct
-    intervals are numbered in order of first appearance, so it is the first
-    distinct one of smallest margin.
+    `results[level-1][k]` is distinct interval k of that level, numbered in
+    order of first appearance and checked at its first interval
+    `interval_firsts[level-1][k]`; interval v shares the result of id
+    `interval_ids[level-1][v]`.  A level's worst interval is the first one
+    of smallest margin, so it is the first distinct one of smallest margin.
     """
     view = _view(run)
-    cfg = view.cfg
     rows = []
     results = []
-    for level in range(1, cfg.L + 1):
+    for level in range(1, view.cfg.L + 1):
         distinct = [check_pseudo_regret(view, level, v) for v in view.interval_firsts[level - 1]]
-        for v, k in enumerate(view.interval_ids[level - 1]):
-            res = distinct[k]
-            if res.interval_index != v:
-                res = PseudoRegretResult(
-                    level, v, res.lhs, res.tight_bound, res.coarse_bound, res.passed,
-                    res.coarse_applies,
-                )
-            results.append(res)
         worst = min(distinct, key=lambda res: res.tight_bound - res.lhs)
         rows.append(CheckRow(
             name="pseudo-regret-tight", scope=f"level={level}", measured=worst.lhs,
             bound=worst.tight_bound, margin=worst.tight_bound - worst.lhs,
             passed=all(res.passed for res in distinct),
         ))
+        results.append(distinct)
     return rows, results
 
 
@@ -455,10 +452,7 @@ def check_telescope(run) -> TelescopeResult:
             H * parents[v] - left_sum(children[v * H : v * H + H])
             for v in view.interval_firsts[level - 1]
         ]
-        inner = 0.0
-        for k in view.interval_ids[level - 1]:
-            inner += drops[k]
-        lhs += inner / H**level
+        lhs += left_sum(map(drops.__getitem__, view.interval_ids[level - 1])) / H**level
     lhs /= L
     rhs = (
         view.ent_by_depth[0][0] - left_sum(view.ent_by_depth[L]) / H**L
@@ -524,7 +518,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
     # sum over cells of T_l*l1(z_h, x) (A1) and T_l*l1(z_{h+1}, x) (A2)
     a1_nums: dict[int, int] = {}
     a2_nums: dict[int, int] = {}
-    k_bar = 0.0
+    kl_by_level = []
     H = cfg.H
     for level in range(1, L + 1):
         t_level = cfg.period(level)
@@ -537,7 +531,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
         for k in ids:
             times[k] += 1
         # each distinct interval's integer numerators once, times its count;
-        # its H KL terms are added to K_bar at every interval that has them
+        # its H KL terms enter K_bar at every interval that has them
         kl_terms = []
         for v, n in zip(firsts, times):
             zs = preds[v]
@@ -548,25 +542,25 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
                 _add_scaled_l1(a2_nums, zs[h], pairs, t_level, n)
                 terms.append(_kl(pairs, t_level, zs[h]) / weight)
             kl_terms.append(terms)
-        for k in ids:
-            for term in kl_terms[k]:
-                k_bar += term
+        kl_by_level.append(chain.from_iterable(map(kl_terms.__getitem__, ids)))
     a1 = _exact_sum(a1_nums) / L
     a2 = _exact_sum(a2_nums) / L + Fraction(2 * T, m)
-    k_bar /= L
+    k_bar = left_sum(chain.from_iterable(kl_by_level)) / L
     a3 = T * math.sqrt(2.0 * k_bar) + 2.0 * T / m
 
     smooth_rows, max_gap, violations = check_smoothness(view)
     pr_rows, pr_results = check_pseudo_regret_all(view)
     tele = check_telescope(view)
 
-    c_bar = 0.0
-    coarse_regime = True
-    for res in pr_results:
-        correction = res.tight_bound - cfg.H * view.ent_by_depth[res.level - 1][res.interval_index]
-        c_bar += correction / cfg.H**res.level
-        coarse_regime = coarse_regime and res.coarse_applies
-    c_bar /= L
+    # each distinct interval's correction tight - H*Ent(parent), weighted,
+    # enters C_bar at every interval that has it
+    corrections = []
+    for level, distinct in enumerate(pr_results, 1):
+        ents = view.ent_by_depth[level - 1]
+        weighted = [(res.tight_bound - H * ents[res.interval_index]) / H**level for res in distinct]
+        corrections.append(map(weighted.__getitem__, view.interval_ids[level - 1]))
+    c_bar = left_sum(chain.from_iterable(corrections)) / L
+    coarse_regime = all(res.coarse_applies for distinct in pr_results for res in distinct)
     kl_budget = math.log(d) / L + c_bar
 
     checks = [
@@ -588,7 +582,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
     checks.extend(pr_rows)
     checks.append(check_recomputation(view))
 
-    chain = {
+    return CertificateReport(run_id, checks, chain={
         "A0": float(a0),
         "A1": float(a1),
         "A2": float(a2),
@@ -599,8 +593,7 @@ def check_chain(run, run_id: str = "") -> CertificateReport:
         "dce_per_day": float(a0) / T,
         "max_smoothness_gap": max_gap,
         "smoothness_violations": float(violations),
-    }
-    return CertificateReport(run_id, checks, chain)
+    })
 
 
 def certify_run(run, run_id: str = "") -> CertificateReport:

@@ -80,10 +80,6 @@ class ForecastConfig:
             raise OutOfRange(f"level {level} outside [0, {self.L}]")
         return self.S * self.H ** (self.L - level)
 
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, self.m)
-
 
 def coupled_parameters(
     d: int, epsilon: float, max_days: int = DEFAULT_DAY_BUDGET, allow_large: bool = False

@@ -484,7 +484,10 @@ def test_repeating_subtrees_match_dense_references(run):
         for v in range(cfg.H ** (level - 1))
     ]
     _, results = check_pseudo_regret_all(view)
-    assert repr(results) == repr(dense)
+    for res in dense:
+        level, v = res.level, res.interval_index
+        shared = results[level - 1][view.interval_ids[level - 1][v]]
+        assert repr(res) == repr(dataclasses.replace(shared, interval_index=v))
     c_bar = 0.0
     for res in dense:
         parent = view.ent_by_depth[res.level - 1][res.interval_index]
@@ -494,6 +497,26 @@ def test_repeating_subtrees_match_dense_references(run):
         (c_bar / cfg.L, dense_telescope_lhs(view))
     )
     assert rep.passed
+
+
+def test_fixed_slack_row_needs_every_interval_in_the_coarse_regime():
+    cfg = ForecastConfig(d=2, L=3, H=4, S=8, m=2)
+    view = RunView(simulate(cfg, IIDAdversary(uniform(2)), seed=1, mode="sampled"))
+    applies = [
+        check_pseudo_regret(view, level, v).coarse_applies
+        for level in range(1, cfg.L + 1)
+        for v in range(cfg.H ** (level - 1))
+    ]
+    assert 0 < sum(applies) < len(applies)
+    assert "chain-step4-fixed-slack" not in [c.name for c in check_chain(view).checks]
+
+
+def test_pseudo_regret_all_keeps_one_result_per_distinct_interval():
+    cfg = ForecastConfig(d=2, L=8, H=2, S=2, m=1)
+    run = simulate(cfg, AdaptiveArgminAdversary(2), seed=0)
+    _, results = check_pseudo_regret_all(run)
+    assert [len(r) for r in results] == [1] * 8
+    assert [r[0].interval_index for r in results] == [0] * 8
 
 
 BIG = st.integers(1, 2**300)
