@@ -1,15 +1,16 @@
 """Day-simulation kernel: the engine's per-day draws and day counts.
 
-Per day: one rejection-sampled uniform below the distribution's denominator
-decides the outcome (bisect over the cumulative numerators), then, when
-level sampling is on, one uniform below n_levels picks the realized
-sub-forecaster.  The outcome and level streams are independent, so a call
-draws all of its outcome uniforms, then all of its level uniforms.
+A day's outcome and, in sampled mode, its level come from independent
+streams.  `sim_days` draws outcomes only: per day, one rejection-sampled
+uniform below the distribution's denominator decides the outcome (bisect
+over the cumulative numerators).  `draw_level_counts` draws the uniforms
+below n_levels that pick each day's realized sub-forecaster; the engine
+draws a sampled run's levels through it in batches of up to `CHUNK` days,
+whatever law the days follow.
 
 `sim_days` returns the day counts per outcome and, when a caller asks for
-levels or outcomes, what it drew: the 1-based outcome of each day, and in
-sampled mode the 0-based level of each day.  It tallies no (level,
-outcome) pairs; the engine folds the two lists itself.
+outcomes, the 1-based outcome of each day.  It tallies no (level, outcome)
+pairs; the engine folds a segment's outcomes with its levels itself.
 
 Counters advance one per 64-bit word drawn, accepted or rejected, so every
 value is the one `rng.Stream.below` would return from the same position.
@@ -201,14 +202,17 @@ def sim_days(
     sample_levels: bool,
     record_outcomes: bool,
 ):
-    """Simulate n_days i.i.d. draws from one distribution.
+    """Simulate n_days i.i.d. outcome draws from one distribution.
 
-    Returns (octr, lctr, counts[d], outcomes, levels): `outcomes` (1-based)
-    is a list when levels are sampled or outcomes recorded, else None;
-    `levels` (0-based) is a list when levels are sampled, else None.
+    Returns (octr, lctr, counts[d], outcomes, None): `outcomes` (1-based) is
+    a list when outcomes are recorded, else None.  Levels are drawn by
+    `draw_level_counts` only: `sample_levels` must be False, and `lkey`,
+    `lctr` and `n_levels` keep their positions because perfbench/tracer.py
+    reads the arguments by position; `lctr` is returned unchanged.
     """
-    listed = sample_levels or record_outcomes
-    if not listed and d <= POPCOUNT_MAX_D and den < _MOD and not den & (den - 1):
+    if sample_levels:
+        raise ValueError("sim_days draws outcomes only; draw levels with draw_level_counts")
+    if not record_outcomes and d <= POPCOUNT_MAX_D and den < _MOD and not den & (den - 1):
         counts = _pow2_counts(okey, octr, n_days, den.bit_length() - 1, cum_nums[:-1])
         return octr + n_days, lctr, counts, None, None
     us, octr = _uniforms(okey, octr, n_days, den)
@@ -216,11 +220,8 @@ def sim_days(
     counts = [0] * d
     for i in idx:
         counts[i] += 1
-    outcomes = [i + 1 for i in idx] if listed else None
-    levels = None
-    if sample_levels:
-        levels, lctr = _uniforms(lkey, lctr, n_days, n_levels)
-    return octr, lctr, counts, outcomes, levels
+    outcomes = [i + 1 for i in idx] if record_outcomes else None
+    return octr, lctr, counts, outcomes, None
 
 
 def draw_level_counts(

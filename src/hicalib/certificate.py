@@ -68,14 +68,16 @@ the tuple of its H child ids.  Per distinct interval the checks compute:
 The float sums K-bar and C-bar (across levels) and each level's telescope
 sum still add one term per cell or interval: `left_sum` walks the distinct
 terms looked up in (level, interval, h) order, so their bits are those of
-a walk over every cell.  The recomputation check compares every recorded
-key.
+a walk over every cell.  The recomputation check covers every recorded
+key, comparing each distinct (recorded key id, interval id, h) cell once
+and counting its mismatch as many times as the cell appears.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -207,9 +209,10 @@ class RunView:
     z_1..z_{H+1} of interval v at level l.
 
     Nodes are interned as the tree is built.  Equal pairs at one depth get
-    one node id: a leaf's pairs are hashed once, and a parent is looked up
-    by the tuple of its H child ids, so its pairs are hashed only when that
-    tuple is new.  An interval is such a tuple; `interval_ids[l-1][v]` is
+    one node id: a leaf is looked up by its dense count row, so its pairs
+    are built only when that row is new, and a parent is looked up by the
+    tuple of its H child ids, so its pairs are hashed only when that tuple
+    is new.  An interval is such a tuple; `interval_ids[l-1][v]` is
     the id of interval v at level l and `interval_firsts[l-1][k]` the first
     v with id k.  Each distinct interval's prefix, predictions and parent
     pairs are built once, and each distinct node's entropy is computed
@@ -222,9 +225,10 @@ class RunView:
         cfg = run.cfg
         self.cfg = cfg
         d, H, L, m = cfg.d, cfg.H, cfg.L, cfg.m
-        index: dict[tuple, int] = {}
-        ids = [index.setdefault(tuple(_support(leaf)), len(index)) for leaf in run.leaf_counts]
-        pairs = list(index)  # node id -> pairs
+        rows: dict[tuple, int] = {}
+        ids = [rows.setdefault(tuple(leaf), len(rows)) for leaf in run.leaf_counts]
+        pairs = [tuple(_support(row)) for row in rows]  # node id -> pairs
+        del rows  # d words per distinct leaf: not kept while the tree is built
         by_depth = [[pairs[i] for i in ids]]
         ent_by_depth = [_entropies(pairs, ids, cfg.period(L))]
         # Predictions z_1..z_{H+1} per (level, interval); z_{H+1} is the
@@ -491,19 +495,22 @@ def _dce_exact(run: RunResult) -> Fraction:
 def check_recomputation(run) -> CheckRow:
     """Recorded iteration keys must equal predictions recomputed from raw counts.
 
-    Takes a run or its `RunView`; every recorded key is compared.
+    Takes a run or its `RunView`; every recorded key is compared.  Equal
+    (recorded key id, interval id, h) cells are compared once and count as
+    many mismatches as there are such cells.
     """
     view = _view(run)
     run = view.run
-    cfg = view.cfg
+    H = view.cfg.H
     mismatches = 0
-    for level in range(1, cfg.L + 1):
-        recorded = run.level_iter_keys[level - 1]
-        for v in range(cfg.H ** (level - 1)):
-            zs = view.preds[level - 1][v]
-            for h in range(1, cfg.H + 1):
-                if run.keys[recorded[v * cfg.H + h - 1]] != zs[h - 1]:
-                    mismatches += 1
+    for recorded, ids, firsts, preds in zip(
+        run.level_iter_keys, view.interval_ids, view.interval_firsts, view.preds
+    ):
+        for h in range(H):
+            # each distinct (recorded key, interval) pair once, times its count
+            for (kid, k), n in Counter(zip(recorded[h::H], ids, strict=True)).items():
+                if run.keys[kid] != preds[firsts[k]][h]:
+                    mismatches += n
     return CheckRow.zero("recomputation-identity", "all levels", mismatches)
 
 

@@ -13,11 +13,13 @@ those keys through `next(t, level_keys)`.  A block's days form segments of
 one outcome law each, simulated by one kernel call: one S-day segment when
 the adversary is constant within a block, otherwise S one-day segments; a
 replay's block is one segment of its S recorded outcomes, with no law.  Each
-segment's day counts go into the block's leaf counts.  In sampled mode
-the kernel also returns what it drew, each day's outcome and level, and the
-engine adds each drawn day to the ECE tally of that level's key; a
-point-mass segment adds its per-level day counts at its one outcome.  A
-key's ECE vector appears on the first day the key is realized.
+segment's day counts go into the block's leaf counts.  In sampled mode a
+segment's n days take the next n levels of the run's level stream, and
+the engine adds each day to the ECE tally of that level's key, at the
+day's outcome (returned by the kernel, or a point mass's one outcome).  A
+key's ECE vector appears on the first day the key is realized; a drawn
+segment's new keys appear in day order, a point-mass segment's in level
+order.
 
 Predictions are built from count supports, {coordinate: count} maps of the
 nonzero counts, so the bookkeeping costs what the days touched, not d.
@@ -38,15 +40,22 @@ interns it, run once per distinct input.
 Randomness contract: streams are derived per (seed, role, trial); outcome
 draws and level draws use disjoint streams; a day whose outcome law is a
 point mass (denominator 1, e.g. the adaptive argmin adversary) consumes no
-outcome draw.  Together with the counter-based generator this makes every
-run a pure function of (config, adversary, seed, trial, mode).
+outcome draw.  A sampled run's realized levels are one stream per run:
+day t's level is the t-th `below(L)` of the stream
+`stream_key(seed, ROLE_LEVEL, trial)`, whatever law the day follows.  The
+engine draws them ahead through `draw_level_counts` in batches of up to
+`CHUNK` days, never past day T, so a run draws exactly T levels and its
+buffer holds fewer than S + CHUNK.
+Together with the counter-based generator this makes every run a pure
+function of (config, adversary, seed, trial, mode).
 
 The aggregate RunResult carries everything the metrics and certificate
 modules need: per-leaf outcome counts, the key of every level iteration,
 and exact integer tallies for DCE/ECE.  It holds nothing per day: per-day
 outcomes and levels leave the engine only through the `on_day` sink.  A
 distributional run without one asks the kernel for counts only; a sampled
-run folds each segment's draws and keeps nothing per day.
+run asks `sim_days` for each drawn segment's outcomes, folds them with the
+segment's levels and keeps nothing else per day.
 
 Sinks: at the start of every block, `on_block(t_first, level_keys)`
 receives the block's first day and its level keys, fixed for the S days
@@ -70,6 +79,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from . import _kernel_py
+from ._kernel_py import CHUNK
 from .errors import ConfigInvalid
 from .forecaster import ForecastConfig, smoothed_prediction
 from .rng import ROLE_LEVEL, ROLE_OUTCOME, seed_in_range, stream_key
@@ -120,9 +130,14 @@ def _drive(
     if replaying:
         replay_outcomes = iter(replay_outcomes)
     need_outcomes = on_day is not None
+    record_outcomes = sampled or need_outcomes
 
     okey, octr = stream_key(seed_in_range(seed), ROLE_OUTCOME, trial), 0
     lkey, lctr = stream_key(seed, ROLE_LEVEL, trial), 0
+    # The run's level stream, drawn ahead in batches: levels[lpos:] are
+    # drawn and not yet taken, ldrawn is how many days have a level.
+    levels: list[int] = []
+    lpos = ldrawn = 0
 
     per_iter = [H ** (L - l) for l in range(1, L + 1)]  # blocks per level-l iteration
     per_interval = [H ** (L - l + 1) for l in range(1, L + 1)]
@@ -225,27 +240,35 @@ def _drive(
                     counts[x - 1] += 1
             elif law.d != d:
                 raise ConfigInvalid(f"adversary dimension {law.d} != forecaster d {d}")
-            elif law.denominator == 1:
-                # a point mass draws no outcome, only the levels
-                x = law.numerators.index(1)
-                counts = [0] * d
-                counts[x] = n
-                out_seg = [x + 1] * n if need_outcomes else None
-                if sampled:
-                    lctr, lv_counts, lv_seg = _kernel_py.draw_level_counts(
-                        lkey, lctr, n, L, need_outcomes
-                    )
-                    for v, c in enumerate(lv_counts):
-                        if c:
-                            ece_tallies[cur_kid[v]][x] += c
             else:
-                octr, lctr, counts, out_seg, lv_seg = _kernel_py.sim_days(
-                    okey, octr, n, list(accumulate(law.numerators)), law.denominator, d,
-                    lkey, lctr, L, sampled, need_outcomes,
-                )
                 if sampled:
-                    for v, x in zip(lv_seg, out_seg):
-                        ece_tallies[cur_kid[v]][x - 1] += 1
+                    if len(levels) - lpos < n:
+                        # Refill: at most CHUNK days ahead, never past day T.
+                        levels = levels[lpos:]
+                        k = max(n - len(levels), min(CHUNK, T - ldrawn))
+                        lctr, _, more = _kernel_py.draw_level_counts(lkey, lctr, k, L, True)
+                        levels += more
+                        lpos, ldrawn = 0, ldrawn + k
+                    lv_seg = levels[lpos : lpos + n]
+                    lpos += n
+                if law.denominator == 1:
+                    # a point mass draws no outcome
+                    x = law.numerators.index(1)
+                    counts = [0] * d
+                    counts[x] = n
+                    out_seg = [x + 1] * n if need_outcomes else None
+                    if sampled:
+                        # keys new to the tallies get their vectors in level order
+                        for v in lv_seg if len(ece_tallies) == len(keys) else sorted(lv_seg):
+                            ece_tallies[cur_kid[v]][x] += 1
+                else:
+                    octr, _, counts, out_seg, _ = _kernel_py.sim_days(
+                        okey, octr, n, list(accumulate(law.numerators)), law.denominator, d,
+                        lkey, lctr, L, False, record_outcomes,
+                    )
+                    if sampled:
+                        for v, x in zip(lv_seg, out_seg):
+                            ece_tallies[cur_kid[v]][x - 1] += 1
             leaf = counts if leaf is None else list(map(add, leaf, counts))
             if on_day is not None:
                 on_day(t, out_seg, lv_seg, law)

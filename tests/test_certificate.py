@@ -231,6 +231,28 @@ class TestRecomputation:
         row = check_recomputation(RunView(dataclasses.replace(run, level_iter_keys=tampered)))
         assert (row.passed, row.measured) == (False, 1.0)
 
+    def test_tampered_key_in_a_repeated_interval_counts_once(self):
+        # adaptive d=2, H=2, S=2 repeats one interval per level: each
+        # distinct cell is compared once, yet one edited cell among its
+        # repeats is one mismatch, and the untouched repeats none
+        cfg = ForecastConfig(d=2, L=6, H=2, S=2, m=1)
+        run = simulate(cfg, AdaptiveArgminAdversary(2), seed=3, mode="sampled")
+        view = RunView(run)
+        level, h = 4, 2
+        ids = view.interval_ids[level - 1]
+        assert len(set(ids)) == 1 and len(ids) == 8
+        tampered = [list(keys) for keys in run.level_iter_keys]
+        recorded = tampered[level - 1]
+        cell = 5 * cfg.H + h - 1  # interval v=5, iteration h
+        other = next(k for k in range(len(run.keys)) if k != recorded[cell])
+        recorded[cell] = other
+        row = check_recomputation(dataclasses.replace(run, level_iter_keys=tampered))
+        assert (row.passed, row.measured) == (False, 1.0)
+        # the same edit in all 8 repeats is one distinct cell, 8 mismatches
+        recorded[h - 1 :: cfg.H] = [other] * len(ids)
+        row = check_recomputation(dataclasses.replace(run, level_iter_keys=tampered))
+        assert (row.passed, row.measured) == (False, 8.0)
+
     def test_tampered_outcome_breaks_certificate(self):
         cfg = ForecastConfig(d=2, L=2, H=2, S=2, m=1)
         run, outcomes, _ = simulate_recorded(cfg, IIDAdversary(uniform(2)), seed=11)

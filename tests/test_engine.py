@@ -4,6 +4,7 @@ import pytest
 
 from conftest import fixed_stream, random_dist, simulate_recorded
 from hicalib import _kernel_py, engine
+from hicalib._kernel_py import CHUNK
 from hicalib.adversary import (
     AdaptiveArgminAdversary,
     HardSeqConfig,
@@ -22,8 +23,8 @@ from hicalib.engine import (
 from hicalib.errors import ConfigInvalid
 from hicalib.forecaster import ForecastConfig, merge_mixture
 from hicalib.metrics import dce, ece_trajectory, oracle_dce_direct
-from hicalib.rng import ROLE_OUTCOME, Stream, stream_key
-from hicalib.simplex import make_rational_dist, uniform
+from hicalib.rng import ROLE_LEVEL, ROLE_OUTCOME, Stream, stream_key
+from hicalib.simplex import make_rational_dist, point_mass, uniform
 from reference import HierarchicalForecaster, block_key_ids, expand_to_transcript, sample_outcome
 
 SMALL_CONFIGS = [
@@ -172,19 +173,22 @@ def test_on_day_sees_each_hard_day_as_its_own_segment():
     pytest.param(IIDAdversary(make_rational_dist([1, 2, 1], 4)), "distributional", id="iid-den-4"),
 ])
 def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv, mode):
-    # No per-day list leaves the engine except through on_day, so a run
-    # without one, at any T, asks the kernel to record no outcomes or levels.
-    flags = []
+    # No per-day list leaves the engine except through on_day, so a
+    # distributional run without one, at any T, asks the kernel to record no
+    # outcomes.  A sampled run folds each day's outcome with its level, so it
+    # records outcomes; its levels come from one stream per run, drawn by
+    # draw_level_counts in batches of up to CHUNK days, never by sim_days.
+    calls = []
     decodes = []
     sim_days, draw_level_counts = _kernel_py.sim_days, _kernel_py.draw_level_counts
     decode = _kernel_py._decode
 
     def spy_sim_days(*args):
-        flags.append(("sim_days", args[-1]))
+        calls.append(("sim_days", args[9], args[10]))
         return sim_days(*args)
 
     def spy_draw_level_counts(*args):
-        flags.append(("draw_level_counts", args[-1]))
+        calls.append(("draw_level_counts",))
         return draw_level_counts(*args)
 
     def spy_decode(*args):
@@ -196,13 +200,23 @@ def test_runs_without_a_day_sink_ask_the_kernel_for_counts_only(monkeypatch, adv
     monkeypatch.setattr(_kernel_py, "_decode", spy_decode)
     cfg = ForecastConfig(d=3, L=2, H=2, S=4, m=1)
     sampled = mode == "sampled"
+
+    def check_calls(with_sink):
+        flags = {c[1:] for c in calls if c[0] == "sim_days"}
+        level_calls = calls.count(("draw_level_counts",))
+        if sampled:
+            assert all(sample_levels is False for sample_levels, _ in flags)
+            assert level_calls == -(-cfg.T // CHUNK)
+        else:
+            assert flags == {(False, with_sink)} and level_calls == 0
+        calls.clear()
+
     run = simulate(cfg, adv, seed=12, mode=mode)
-    assert flags and set(flags) <= {("sim_days", False), ("draw_level_counts", False)}
+    check_calls(False)
     if not sampled:
         assert not decodes  # a power-of-two law is counted without decoding
-    flags.clear()
     _, outcomes, levels = simulate_recorded(cfg, adv, seed=12, mode=mode)
-    assert flags and set(flags) <= {("sim_days", True), ("draw_level_counts", True)}
+    check_calls(True)
     if sampled:
         assert len(levels) == cfg.T  # the sink saw every day's level
     assert_replay_matches(run, outcomes)
@@ -234,6 +248,56 @@ def test_ece_tallies_are_the_fold_of_the_drawn_days(cfg, make_adv):
         want.setdefault(key, [0] * cfg.d)[x - 1] += 1
     for r in (run, rec_run):
         assert {r.keys[kid]: vec for kid, vec in r.ece_tallies.items()} == want
+
+
+class MixedAdversary:
+    """A point mass on some days, a drawn law on the others.
+
+    Per block (one segment of S days) or per day (S one-day segments)."""
+
+    name = "mixed"
+
+    def __init__(self, constant_within_block):
+        self.constant_within_block = constant_within_block
+        self.laws = [point_mass(3, 2), make_rational_dist([1, 2, 4], 7),
+                     make_rational_dist([1, 1, 2], 4)]
+        self.played = set()
+
+    def next(self, t, level_keys):
+        law = self.laws[t * 7 // 5 % 3]
+        self.played.add(law)
+        return law
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["per-block", "per-day"])
+@pytest.mark.parametrize("cfg", [
+    ForecastConfig(d=3, L=3, H=2, S=1, m=1),
+    ForecastConfig(d=3, L=2, H=3, S=3, m=2),
+    ForecastConfig(d=3, L=4, H=2, S=8, m=1),
+    # T = 2,057 = CHUNK + 9 and S = 17: the last block takes the first
+    # batch's 8 leftover levels and a second batch of only the 9 days left
+    ForecastConfig(d=3, L=2, H=11, S=17, m=2),
+])
+def test_sampled_levels_are_one_stream_per_run(monkeypatch, cfg, constant):
+    # Whatever law a segment follows, its days take the next levels of the
+    # run's one level stream, and the run draws exactly T of them.
+    drawn = []
+    draw_level_counts = _kernel_py.draw_level_counts
+
+    def spy_draw_level_counts(*args):
+        drawn.append(args[2])
+        return draw_level_counts(*args)
+
+    monkeypatch.setattr(_kernel_py, "draw_level_counts", spy_draw_level_counts)
+    for seed in (0, 5):
+        drawn.clear()
+        adv = MixedAdversary(constant)
+        run, _, levels = simulate_recorded(cfg, adv, seed, mode="sampled")
+        assert len(adv.played) == 3  # point mass and drawn laws alike
+        s = Stream(stream_key(seed, ROLE_LEVEL, 0), 0)
+        assert levels == [s.below(cfg.L) for _ in range(cfg.T)]
+        assert sum(drawn) == cfg.T and len(drawn) == -(-cfg.T // CHUNK)
+        assert simulate(cfg, MixedAdversary(constant), seed, mode="sampled") == run
 
 
 def test_simulation_is_deterministic():

@@ -99,14 +99,23 @@ def _check_sim_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
     want = _reference_days(okey, octr, n_days, nums, lkey, lctr, n_levels)
     cums = [sum(nums[: i + 1]) for i in range(len(nums))]
     args = (okey, octr, n_days, cums, sum(nums), len(nums), lkey, lctr, n_levels)
-    assert _kernel_py.sim_days(*args, True, True) == want
-    # sampled levels come with the outcomes they pair with, recorded or not
-    assert _kernel_py.sim_days(*args, True, False) == want
-    # without level sampling the level stream is left untouched
-    octr_end, _, counts, outcomes, _ = want
+    # sim_days draws outcomes only and leaves the level stream untouched
+    octr_end, lctr_end, counts, outcomes, levels = want
     assert _kernel_py.sim_days(*args, False, True) == (octr_end, lctr, counts, outcomes, None)
     assert _kernel_py.sim_days(*args, False, False) == (octr_end, lctr, counts, None, None)
+    # the same days' levels come from draw_level_counts on the same stream
+    level_counts = [levels.count(v) for v in range(n_levels)]
+    assert _kernel_py.draw_level_counts(lkey, lctr, n_days, n_levels, True) == (
+        lctr_end, level_counts, levels,
+    )
     return want
+
+
+def test_sim_days_rejects_level_sampling():
+    with pytest.raises(ValueError, match="outcomes only"):
+        _kernel_py.sim_days(11, 5, 3, [1, 3, 6], 6, 3, 22, 2, 3, True, True)
+    with pytest.raises(ValueError, match="outcomes only"):
+        _kernel_py.sim_days(11, 5, 3, [1, 3, 6], 6, 3, 22, 2, 3, True, False)
 
 
 @pytest.mark.parametrize("den", KERNEL_DENS)
@@ -184,10 +193,10 @@ def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
     # a short call decodes only a page that no earlier call has cached
     _kernel_py._page.cache_clear()
     assert _kernel_py.sim_days(*args, False, False) == day_counts
-    # any call that samples levels, records a list or has more outcomes
-    # still decodes
+    # level draws, any call that records a list or has more outcomes still
+    # decode
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.sim_days(*args, True, False)
+        _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False)
     with pytest.raises(AssertionError, match="decoded"):
         _kernel_py.sim_days(*args, False, True)
     with pytest.raises(AssertionError, match="decoded"):
