@@ -15,6 +15,15 @@ day's random draws.
 Every adversary's `next(t, level_keys)` takes the day and the tuple of the
 L level predictions, level 1 first, and returns the day's law as a
 canonical simplex point (`RationalDist`).
+
+Two class attributes tell the engine how often it must ask:
+`constant_within_block` promises the same law on every day of a block
+(the level keys are frozen there), and `keys_only` promises that the law
+is a pure function of `level_keys`, whatever `t` and whatever was asked
+before.  The engine then asks once per distinct tuple of level keys in a
+run and reuses the law.  The i.i.d. and adaptive adversaries declare
+both; the hard sequence reads `t` and declares neither.  An adversary
+without the attributes is asked once per block or per day.
 """
 
 from __future__ import annotations
@@ -149,6 +158,7 @@ class IIDAdversary:
     """Plays the same outcome law q every day."""
 
     constant_within_block = True
+    keys_only = True
 
     def __init__(self, q: RationalDist):
         self.q = q
@@ -171,6 +181,7 @@ class AdaptiveArgminAdversary:
     """
 
     constant_within_block = True
+    keys_only = True
 
     def __init__(self, d: int):
         self.d = d
@@ -200,6 +211,7 @@ class HardSequenceAdversary:
     """Oblivious recursive hard sequence; the tau tree is fixed at construction."""
 
     constant_within_block = False
+    keys_only = False
 
     def __init__(self, cfg: HardSeqConfig, seed: int | None = None, tree: TauTree | None = None, trial: int = 0):
         self.cfg = cfg

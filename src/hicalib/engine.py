@@ -9,17 +9,27 @@ sampled mode, the uniform sub-forecaster draw) is delegated to the
 
 A block's forecast is its tuple of level keys (each level's prediction,
 level 1 first); a simulation or replay builds no mixture.  Adversaries see
-those keys through `next(t, level_keys)`.  A block's days form segments of
-one outcome law each, simulated by one kernel call: one S-day segment when
-the adversary is constant within a block, otherwise S one-day segments; a
-replay's block is one segment of its S recorded outcomes, with no law.  Each
-segment's day counts go into the block's leaf counts.  In sampled mode a
+those keys through `next(t, level_keys)`.  An adversary that declares
+`keys_only` (its law reads the level keys alone) is asked once per
+distinct forecast: for one `simulate` call only, the engine maps the
+block's tuple of level key ids to the law and its kernel input (the point
+mass's index or the cumulative numerators).  Each distinct law is checked
+against d and prepared once, and forecasts with equal laws share it.  The
+maps start empty on every run, so an adversary object reused across runs
+is asked afresh in each.  Any other adversary is asked once per block, or
+once per day when it is not constant within a block.  The tuple of level
+keys is built only for `on_block`, a memo miss or such an adversary.
+
+A block's days form segments of one outcome law each, simulated by one
+kernel call: one S-day segment when the adversary is constant within a
+block, otherwise S one-day segments; a replay's block is one segment of
+its S recorded outcomes, with no law.  Each segment's day counts go into
+the block's leaf counts.  In sampled mode a
 segment's n days take the next n levels of the run's level stream, and
 the engine adds each day to the ECE tally of that level's key, at the
 day's outcome (returned by the kernel, or a point mass's one outcome).  A
-key's ECE vector appears on the first day the key is realized; a drawn
-segment's new keys appear in day order, a point-mass segment's in level
-order.
+key's ECE vector appears on the first day the key is realized; the order
+of `ece_tallies` is unspecified, and every reader sorts it.
 
 Predictions are built from count supports, {coordinate: count} maps of the
 nonzero counts, so the bookkeeping costs what the days touched, not d.
@@ -159,6 +169,24 @@ def _drive(
     ece_tallies: dict[int, list[int]] = defaultdict(lambda: [0] * d)
     leaf_counts: list[list[int]] = []
 
+    # Days per segment: the whole block when the adversary's law is constant
+    # within it, else one.  Replays read S recorded outcomes per block.
+    n = S if replaying or adversary.constant_within_block else 1
+    # An adversary whose law reads the level keys alone is asked once per
+    # distinct forecast (tuple of level key ids) of this run; forecasts that
+    # get equal laws share one prepared segment.
+    keys_only = not replaying and getattr(adversary, "keys_only", False)
+    seg_of: dict[tuple[int, ...], tuple] = {}
+    seg_of_law: dict[PredictionKey, tuple] = {}
+
+    def prepare(law):
+        """(law, point-mass index or None, cumulative numerators or None)."""
+        if law.d != d:
+            raise ConfigInvalid(f"adversary dimension {law.d} != forecaster d {d}")
+        if law.denominator == 1:
+            return law, law.numerators.index(1), None
+        return law, None, list(accumulate(law.numerators))
+
     def intern(key: PredictionKey) -> int:
         kid = key_index.get(key)
         if kid is None:
@@ -212,21 +240,34 @@ def _drive(
             level_iter_keys[li].append(kid)
 
         t_first = b * S + 1
-        level_keys = tuple(keys[k] for k in cur_kid)
+        level_keys = None
         if on_block is not None:
+            level_keys = tuple(keys[k] for k in cur_kid)
             on_block(t_first, level_keys)
 
         # --- the block's days, in segments of one outcome law each ----------
         if replaying:
-            laws, n = (None,), S
-        elif adversary.constant_within_block:
-            laws, n = (adversary.next(t_first, level_keys),), S
+            segs = ((None, None, None),)
+        elif keys_only:
+            forecast = tuple(cur_kid)
+            seg = seg_of.get(forecast)
+            if seg is None:
+                if level_keys is None:
+                    level_keys = tuple(keys[k] for k in cur_kid)
+                law = adversary.next(t_first, level_keys)
+                seg = seg_of_law.get(law)
+                if seg is None:
+                    seg = seg_of_law[law] = prepare(law)
+                seg_of[forecast] = seg
+            segs = (seg,) * (S // n)
         else:
-            laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S)]
-            n = 1
+            if level_keys is None:
+                level_keys = tuple(keys[k] for k in cur_kid)
+            laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S, n)]
+            segs = map(prepare, laws)  # each law checked as its segment starts
         leaf = None
         t = t_first
-        for law in laws:
+        for law, mass_at, cum in segs:
             lv_seg = None
             if law is None:
                 # Pulled only now, after on_block has seen the block's keys.
@@ -238,8 +279,6 @@ def _drive(
                     if type(x) is not int or not 1 <= x <= d:
                         raise ConfigInvalid(f"replay outcome {x!r} is not an integer in [1, {d}]")
                     counts[x - 1] += 1
-            elif law.d != d:
-                raise ConfigInvalid(f"adversary dimension {law.d} != forecaster d {d}")
             else:
                 if sampled:
                     if len(levels) - lpos < n:
@@ -251,19 +290,17 @@ def _drive(
                         lpos, ldrawn = 0, ldrawn + k
                     lv_seg = levels[lpos : lpos + n]
                     lpos += n
-                if law.denominator == 1:
+                if cum is None:
                     # a point mass draws no outcome
-                    x = law.numerators.index(1)
                     counts = [0] * d
-                    counts[x] = n
-                    out_seg = [x + 1] * n if need_outcomes else None
+                    counts[mass_at] = n
+                    out_seg = [mass_at + 1] * n if need_outcomes else None
                     if sampled:
-                        # keys new to the tallies get their vectors in level order
-                        for v in lv_seg if len(ece_tallies) == len(keys) else sorted(lv_seg):
-                            ece_tallies[cur_kid[v]][x] += 1
+                        for v in lv_seg:
+                            ece_tallies[cur_kid[v]][mass_at] += 1
                 else:
                     octr, _, counts, out_seg, _ = _kernel_py.sim_days(
-                        okey, octr, n, list(accumulate(law.numerators)), law.denominator, d,
+                        okey, octr, n, cum, law.denominator, d,
                         lkey, lctr, L, False, record_outcomes,
                     )
                     if sampled:

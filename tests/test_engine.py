@@ -300,6 +300,134 @@ def test_sampled_levels_are_one_stream_per_run(monkeypatch, cfg, constant):
         assert simulate(cfg, MixedAdversary(constant), seed, mode="sampled") == run
 
 
+class SpyAdaptive(AdaptiveArgminAdversary):
+    """The adaptive adversary, recording the level keys of every call."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.asked = []
+
+    def next(self, t, level_keys=None):
+        self.asked.append(level_keys)
+        return super().next(t, level_keys)
+
+
+def _forecasts(run):
+    """Each block's tuple of level keys."""
+    return [tuple(run.keys[k] for k in block_key_ids(run, b)) for b in range(len(run.leaf_counts))]
+
+
+def test_keys_only_adversary_is_asked_once_per_distinct_forecast_of_each_run():
+    # The memo lives for one simulate call: the same adversary object asked
+    # again in a second run, even at the same seed, is asked afresh.
+    cfg = ForecastConfig(d=2, L=6, H=2, S=2, m=2)
+    adv = SpyAdaptive(cfg.d)
+    for seed in (3, 3, 8):
+        adv.asked.clear()
+        run = simulate(cfg, adv, seed, mode="sampled")
+        forecasts = _forecasts(run)
+        assert len(set(forecasts)) < len(forecasts)  # the case repeats forecasts
+        assert sorted(adv.asked) == sorted(set(forecasts))
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["per-block", "per-day"])
+def test_undeclared_adversary_is_asked_every_block_or_day(constant):
+    cfg = ForecastConfig(d=3, L=3, H=2, S=3, m=1)
+    asked = []
+    adv = MixedAdversary(constant)
+    assert not hasattr(adv, "keys_only")
+    law_of = adv.next
+    adv.next = lambda t, level_keys: asked.append(t) or law_of(t, level_keys)
+    simulate(cfg, adv, seed=4, mode="sampled")
+    days = range(1, cfg.T + 1)
+    assert asked == (list(days) if not constant else list(days[:: cfg.S]))
+
+
+class Hidden:
+    """Plays an adversary's laws without declaring `keys_only`."""
+
+    def __init__(self, adversary, constant_within_block):
+        self.adversary = adversary
+        self.name = adversary.name
+        self.constant_within_block = constant_within_block
+
+    def next(self, t, level_keys):
+        return self.adversary.next(t, level_keys)
+
+
+class DeclaredKeysOnly(Hidden):
+    keys_only = True
+
+
+def _random_keys_only_case(gen):
+    d = 2 + gen.below(3)
+    if gen.below(3):
+        cfg = ForecastConfig(d=d, L=1 + gen.below(3), H=2 + gen.below(2), S=1 + gen.below(4),
+                             m=1 + gen.below(3))
+    else:  # deep: forecasts repeat across blocks
+        cfg = ForecastConfig(d=d, L=5 + gen.below(3), H=2, S=1 + gen.below(4), m=1 + gen.below(2))
+    kind = gen.below(3)
+    if kind == 0:
+        adv = IIDAdversary(random_dist(gen, d))
+    elif kind == 1:
+        adv = IIDAdversary(point_mass(d, 1 + gen.below(d)))
+    else:
+        adv = AdaptiveArgminAdversary(d)
+    mode = ("distributional", "sampled")[gen.below(2)]
+    return cfg, adv, mode, 1 + gen.below(1000)
+
+
+def _run_and_sinks(cfg, adv, seed, mode):
+    seen = []
+    run = simulate(cfg, adv, seed, mode=mode,
+                   on_block=lambda *args: seen.append(("block", args)),
+                   on_day=lambda *args: seen.append(("day", args)))
+    return run, seen
+
+
+def test_asking_once_per_forecast_changes_no_result():
+    # A keys-only adversary and the same laws from an adversary that does not
+    # declare it give equal runs and equal sink arguments, whether the
+    # memoized law covers a block or each of its days.
+    gen = fixed_stream(26)
+    for case in range(200):
+        cfg, adv, mode, seed = _random_keys_only_case(gen)
+        constant = bool(case % 4)
+        memo_run, memo_seen = _run_and_sinks(cfg, DeclaredKeysOnly(adv, constant), seed, mode)
+        plain_run, plain_seen = _run_and_sinks(cfg, Hidden(adv, constant), seed, mode)
+        assert memo_run == plain_run, (case, cfg, adv.name, mode)
+        assert memo_seen == plain_seen, (case, cfg, adv.name, mode)
+        if constant:
+            # the adversary's own declaration takes the same path
+            assert _run_and_sinks(cfg, adv, seed, mode) == (memo_run, memo_seen)
+
+
+class WrongDimensionLater(AdaptiveArgminAdversary):
+    """Answers its second distinct forecast with a law of the wrong dimension."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.first = None
+
+    def next(self, t, level_keys=None):
+        if self.first is None:
+            self.first = level_keys
+        if level_keys != self.first:
+            return uniform(self.d + 1)
+        return super().next(t, level_keys)
+
+
+def test_keys_only_law_of_the_wrong_dimension_raises_at_its_first_block():
+    cfg = ForecastConfig(d=2, L=3, H=2, S=2, m=1)
+    run = simulate(cfg, AdaptiveArgminAdversary(cfg.d), seed=0)
+    forecasts = _forecasts(run)
+    second = next(b for b, f in enumerate(forecasts) if f != forecasts[0])
+    blocks = []
+    with pytest.raises(ConfigInvalid, match="dimension"):
+        simulate(cfg, WrongDimensionLater(cfg.d), seed=0, on_block=lambda t, ks: blocks.append(t))
+    assert blocks == [b * cfg.S + 1 for b in range(second + 1)]
+
+
 def test_simulation_is_deterministic():
     cfg = ForecastConfig(d=3, L=2, H=3, S=2, m=1)
     adv = lambda: IIDAdversary(random_dist(fixed_stream(33), 3, full_support=True))

@@ -19,6 +19,7 @@ from hicalib.adversary import AdaptiveArgminAdversary, IIDAdversary
 from hicalib.engine import simulate
 from hicalib.forecaster import ForecastConfig
 from hicalib.simplex import uniform
+from reference import block_key_ids
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -94,10 +95,13 @@ def test_certificate_predicts_once_per_distinct_interval(tracer_mod):
 def test_simulation_builds_no_mixture(tracer_mod):
     cfg = ForecastConfig(d=2, L=3, H=2, S=1, m=1)
     tracer = tracer_mod.Tracer()
-    tracer.run_op(0, engine.simulate, cfg, AdaptiveArgminAdversary(cfg.d), 0)
+    run = tracer.run_op(0, engine.simulate, cfg, AdaptiveArgminAdversary(cfg.d), 0)
     layers = tracer.op_layers(0)
     assert layers.get("forecaster.mixtures", 0) == 0
-    assert layers["adversary.next_calls"] == cfg.H**cfg.L  # one per block
+    # the adaptive law reads the level keys alone: one call per distinct
+    # forecast (tuple of level key ids) of the run, not one per block
+    forecasts = {block_key_ids(run, b) for b in range(cfg.H**cfg.L)}
+    assert layers["adversary.next_calls"] == len(forecasts) < cfg.H**cfg.L
 
 
 def test_transcript_writer_builds_one_mixture_per_block(tracer_mod, tmp_path):
