@@ -4,11 +4,9 @@ A day's outcome and, in sampled mode, its level come from independent
 streams.  `sim_days` draws outcomes only: per day, one rejection-sampled
 uniform below the distribution's denominator decides the outcome (bisect
 over the cumulative numerators).  `draw_level_counts` draws the uniforms
-below n_levels that pick each day's realized sub-forecaster; the engine
-draws a sampled run's levels through it in batches of up to `CHUNK` days,
-whatever law the days follow.  It returns either the level sequence or its
-per-level counts, never both: the engine keeps the sequence and needs no
-counts.
+below n_levels that pick each day's realized sub-forecaster and returns
+them in day order; the engine draws a sampled run's levels through it in
+batches of up to `CHUNK` days, whatever law the days follow.
 
 `sim_days` returns the day counts per outcome and, when a caller asks for
 outcomes, the 1-based outcome of each day.  It tallies no (level, outcome)
@@ -226,20 +224,11 @@ def sim_days(
     return octr, lctr, counts, outcomes, None
 
 
-def draw_level_counts(
-    lkey: int, lctr: int, n_days: int, n_levels: int, record: bool
-):
-    """n_days uniform draws over [0, n_levels).
+def draw_level_counts(lkey: int, lctr: int, n_days: int, n_levels: int):
+    """n_days uniform draws over [0, n_levels); returns (lctr, levels).
 
-    Returns (lctr, None, seq) when `record` is set, else (lctr, counts,
-    None): a caller that keeps the sequence counts it itself if it needs
-    to.  The argument positions and `lctr` first stay as they are because
-    perfbench/tracer.py reads them by position.
+    The name, the argument positions and `lctr` first stay as they are
+    because perfbench/tracer.py reads them by position.
     """
-    seq, lctr = _uniforms(lkey, lctr, n_days, n_levels)
-    if record:
-        return lctr, None, seq
-    counts = [0] * n_levels
-    for v in seq:
-        counts[v] += 1
-    return lctr, counts, None
+    levels, lctr = _uniforms(lkey, lctr, n_days, n_levels)
+    return lctr, levels

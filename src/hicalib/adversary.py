@@ -12,18 +12,17 @@ expected predicted mass for the current day; it sees the day's L level
 predictions (a deterministic function of past outcomes) but never the
 day's random draws.
 
-Every adversary's `next(t, level_keys)` takes the day and the tuple of the
-L level predictions, level 1 first, and returns the day's law as a
-canonical simplex point (`RationalDist`).
+Every adversary has a `name` and a `next(t, level_keys)`, which takes the
+day and the tuple of the L level predictions, level 1 first, and returns
+the day's law as a canonical simplex point (`RationalDist`).
 
-Two class attributes tell the engine how often it must ask:
-`constant_within_block` promises the same law on every day of a block
-(the level keys are frozen there), and `keys_only` promises that the law
-is a pure function of `level_keys`, whatever `t` and whatever was asked
-before.  The engine then asks once per distinct tuple of level keys in a
-run and reuses the law.  The i.i.d. and adaptive adversaries declare
-both; the hard sequence reads `t` and declares neither.  An adversary
-without the attributes is asked once per block or per day.
+An adversary that declares the class attribute `keys_only = True`
+promises that its law is a pure function of `level_keys`, whatever `t`
+and whatever was asked before.  The engine then asks it once per
+distinct tuple of level keys in a run and plays that law for the whole
+block.  The i.i.d. and adaptive adversaries declare it; the hard sequence
+reads `t` and declares nothing.  An adversary that declares nothing is
+asked every day.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ def day_distribution(tree: TauTree, t: int, cfg: HardSeqConfig) -> RationalDist:
 class IIDAdversary:
     """Plays the same outcome law q every day."""
 
-    constant_within_block = True
     keys_only = True
 
     def __init__(self, q: RationalDist):
@@ -175,50 +173,36 @@ class AdaptiveArgminAdversary:
     predictions, which are a deterministic function of the realized past.
     Coordinate i scores sum_l n_{l,i} * (lcm / den_l) over the level keys
     n_l / den_l: L * lcm times its mixture mass, so the argmin is exact in
-    integers.  Equal level keys are merged first, as in `merge_mixture`:
-    each distinct key n / den is scored once, weighted by its multiplicity
-    c as c * (lcm / den), which gives the same integer scores.
+    integers.
     """
 
-    constant_within_block = True
     keys_only = True
 
     def __init__(self, d: int):
         self.d = d
         self.name = "adaptive_argmin"
-        self._point_masses: dict[int, RationalDist] = {}  # built on first play
 
     def next(self, t: int, level_keys: tuple[RationalDist, ...] | None = None) -> RationalDist:
         if level_keys is None:
             raise ConfigInvalid("adaptive adversary needs the day's level predictions")
-        mults: dict[RationalDist, int] = {}
-        for key in level_keys:
-            mults[key] = mults.get(key, 0) + 1
-        lcm = math.lcm(*(key.denominator for key in mults))
+        lcm = math.lcm(*(key.denominator for key in level_keys))
         scores = [0] * self.d
-        for (nums, den), c in mults.items():
-            scale = c * (lcm // den)
+        for nums, den in level_keys:
+            scale = lcm // den
             for i, n in enumerate(nums):
                 scores[i] += n * scale
-        index = scores.index(min(scores)) + 1
-        law = self._point_masses.get(index)
-        if law is None:
-            law = self._point_masses[index] = point_mass(self.d, index)
-        return law
+        return point_mass(self.d, scores.index(min(scores)) + 1)
 
 
 class HardSequenceAdversary:
     """Oblivious recursive hard sequence; the tau tree is fixed at construction."""
 
-    constant_within_block = False
-    keys_only = False
-
-    def __init__(self, cfg: HardSeqConfig, seed: int | None = None, tree: TauTree | None = None, trial: int = 0):
+    def __init__(self, cfg: HardSeqConfig, seed: int | None = None, tree: TauTree | None = None):
         self.cfg = cfg
         if tree is None:
             if seed is None:
                 raise ConfigInvalid("hard adversary needs a seed or an explicit tree")
-            tree = sample_tau_tree(cfg, derive_stream(seed, ROLE_TAU, trial))
+            tree = sample_tau_tree(cfg, derive_stream(seed, ROLE_TAU))
         self.tree = tree
         self.name = "hard"
 

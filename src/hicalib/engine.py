@@ -16,20 +16,20 @@ block's tuple of level key ids to the law and its kernel input (the point
 mass's index or the cumulative numerators).  Each distinct law is checked
 against d and prepared once, and forecasts with equal laws share it.  The
 maps start empty on every run, so an adversary object reused across runs
-is asked afresh in each.  Any other adversary is asked once per block, or
-once per day when it is not constant within a block.  The tuple of level
-keys is built only for `on_block`, a memo miss or such an adversary.
+is asked afresh in each.  Any other adversary is asked every day.  The
+tuple of level keys is built only for `on_block`, a memo miss or such an
+adversary.
 
 A block's days form segments of one outcome law each, simulated by one
-kernel call: one S-day segment when the adversary is constant within a
-block, otherwise S one-day segments; a replay's block is one segment of
-its S recorded outcomes, with no law.  Each segment's day counts go into
-the block's leaf counts.  In sampled mode a
-segment's n days take the next n levels of the run's level stream, and
-the engine adds each day to the ECE tally of that level's key, at the
-day's outcome (returned by the kernel, or a point mass's one outcome).  A
-key's ECE vector appears on the first day the key is realized; the order
-of `ece_tallies` is unspecified, and every reader sorts it.
+kernel call: one S-day segment for a keys-only adversary, otherwise S
+one-day segments; a replay's block is one segment of its S recorded
+outcomes, with no law.  Each segment's day counts go into the block's leaf
+counts.  In sampled mode a segment's n days take the next n levels of the
+run's level stream, and the engine adds each day to the ECE tally of that
+level's key, at the day's outcome (returned by the kernel, or a point
+mass's one outcome).  A key's ECE vector appears on the first day the key
+is realized; the order of `ece_tallies` is unspecified, and every reader
+sorts it.
 
 Predictions are built from count supports, {coordinate: count} maps of the
 nonzero counts, so the bookkeeping costs what the days touched, not d.
@@ -47,8 +47,9 @@ they have seen before, so the engine maps each distinct input straight to
 its key id: `smoothed_prediction`, and the hash of the dense key that
 interns it, run once per distinct input.
 
-Randomness contract: streams are derived per (seed, role, trial); outcome
-draws and level draws use disjoint streams; a day whose outcome law is a
+Randomness contract: streams are derived per (seed, role, trial), and
+`simulate` refuses a seed or trial outside [0, 2**64), which `stream_key`
+would read mod 2**64; outcome draws and level draws use disjoint streams; a day whose outcome law is a
 point mass (denominator 1, e.g. the adaptive argmin adversary) consumes no
 outcome draw.  A sampled run's realized levels are one stream per run:
 day t's level is the t-th `below(L)` of the stream
@@ -92,7 +93,7 @@ from . import _kernel_py
 from ._kernel_py import CHUNK
 from .errors import ConfigInvalid
 from .forecaster import ForecastConfig, smoothed_prediction
-from .rng import ROLE_LEVEL, ROLE_OUTCOME, seed_in_range, stream_key
+from .rng import MASK64, ROLE_LEVEL, ROLE_OUTCOME, seed_in_range, stream_key
 from .simplex import PredictionKey
 
 # The engine builds no mixture; merge_mixture stays bound here so that
@@ -142,6 +143,8 @@ def _drive(
     need_outcomes = on_day is not None
     record_outcomes = sampled or need_outcomes
 
+    if not 0 <= trial <= MASK64:
+        raise ConfigInvalid(f"trial must be in [0, 2**64), got {trial}")
     okey, octr = stream_key(seed_in_range(seed), ROLE_OUTCOME, trial), 0
     lkey, lctr = stream_key(seed, ROLE_LEVEL, trial), 0
     # The run's level stream, drawn ahead in batches: levels[lpos:] are
@@ -169,13 +172,13 @@ def _drive(
     ece_tallies: dict[int, list[int]] = defaultdict(lambda: [0] * d)
     leaf_counts: list[list[int]] = []
 
-    # Days per segment: the whole block when the adversary's law is constant
-    # within it, else one.  Replays read S recorded outcomes per block.
-    n = S if replaying or adversary.constant_within_block else 1
     # An adversary whose law reads the level keys alone is asked once per
-    # distinct forecast (tuple of level key ids) of this run; forecasts that
-    # get equal laws share one prepared segment.
+    # distinct forecast (tuple of level key ids) of this run, and its law
+    # plays for the whole block; forecasts that get equal laws share one
+    # prepared segment.  Any other adversary is asked every day.  Replays
+    # read S recorded outcomes per block.
     keys_only = not replaying and getattr(adversary, "keys_only", False)
+    n = S if replaying or keys_only else 1
     seg_of: dict[tuple[int, ...], tuple] = {}
     seg_of_law: dict[PredictionKey, tuple] = {}
 
@@ -259,11 +262,11 @@ def _drive(
                 if seg is None:
                     seg = seg_of_law[law] = prepare(law)
                 seg_of[forecast] = seg
-            segs = (seg,) * (S // n)
+            segs = (seg,)
         else:
             if level_keys is None:
                 level_keys = tuple(keys[k] for k in cur_kid)
-            laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S, n)]
+            laws = [adversary.next(t, level_keys) for t in range(t_first, t_first + S)]
             segs = map(prepare, laws)  # each law checked as its segment starts
         leaf = None
         t = t_first
@@ -285,7 +288,7 @@ def _drive(
                         # Refill: at most CHUNK days ahead, never past day T.
                         levels = levels[lpos:]
                         k = max(n - len(levels), min(CHUNK, T - ldrawn))
-                        lctr, _, more = _kernel_py.draw_level_counts(lkey, lctr, k, L, True)
+                        lctr, more = _kernel_py.draw_level_counts(lkey, lctr, k, L)
                         levels += more
                         lpos, ldrawn = 0, ldrawn + k
                     lv_seg = levels[lpos : lpos + n]

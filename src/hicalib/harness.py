@@ -244,12 +244,12 @@ def build_run_config(kv: dict[str, str], seed_override: int | None = None) -> Ru
     )
 
 
-def make_adversary(rc: RunConfig, trial: int = 0):
+def make_adversary(rc: RunConfig):
     if rc.adversary_kind == "iid":
         return IIDAdversary(rc.iid_q)
     if rc.adversary_kind == "adaptive_argmin":
         return AdaptiveArgminAdversary(rc.cfg.d)
-    return HardSequenceAdversary(rc.hard, seed=rc.seed, trial=trial)
+    return HardSequenceAdversary(rc.hard, seed=rc.seed)
 
 
 # -- cmd_run -------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fixed_stream
+from conftest import fixed_stream, random_dist
 from hicalib.adversary import (
     AdaptiveArgminAdversary,
     EpsSchedule,
@@ -259,6 +260,30 @@ class TestSimpleAdversaries:
             pool.append(key)
             keys.append(key)
         assert AdaptiveArgminAdversary(d).next(1, tuple(keys)) == _mixture_mass_argmin(d, keys)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda d: IIDAdversary(make_rational_dist([1, 2, 3], 6)), id="iid"),
+    pytest.param(AdaptiveArgminAdversary, id="adaptive"),
+])
+def test_keys_only_law_is_a_function_of_the_level_keys(make):
+    # The engine asks a keys-only adversary once per distinct forecast of a
+    # run and plays that law on every later block with an equal forecast,
+    # so equal level keys must give equal laws at any day and after any
+    # earlier calls.
+    d = 3
+    s = fixed_stream(24)
+    pool = [random_dist(s, d) for _ in range(4)] + [uniform(d)]
+    forecasts = [tuple(pool[s.below(5)] for _ in range(1 + s.below(4))) for _ in range(30)]
+    want = {f: make(d).next(1, f) for f in forecasts}  # each from a fresh adversary
+    adv = make(d)
+    assert adv.keys_only is True
+    order = forecasts * 3
+    random.Random(24).shuffle(order)
+    for f in order:
+        # equal keys, not the same objects
+        again = tuple(make_rational_dist(list(k.numerators), k.denominator) for k in f)
+        assert adv.next(1 + s.below(2**40), again) == want[f]
 
 
 def _mixture_mass_argmin(d, keys):

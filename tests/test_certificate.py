@@ -553,3 +553,28 @@ def test_int_division_log_equals_fraction_log(a, b):
 def test_int_division_margin_equals_fraction_margin(n, D, k):
     assert n / D == float(Fraction(n, D))
     assert (2 * D - n * k) / (k * D) == float(Fraction(2, k) - Fraction(n, D))
+
+
+def _small_iid_view():
+    """The RunView of a small i.i.d. run; its per-depth lists are writable."""
+    cfg = ForecastConfig(d=3, L=2, H=2, S=2, m=2)
+    return RunView(simulate(cfg, IIDAdversary(make_rational_dist([1, 2, 3], 6)), seed=4))
+
+
+def _failing_rows(view):
+    return {(row.name, row.scope) for row in check_chain(view).checks if not row.passed}
+
+
+def test_perturbed_views_fail_exactly_the_rows_that_read_them():
+    assert _failing_rows(_small_iid_view()) == set()
+    # Entropies reach the chain only through C_bar.  The telescope identity
+    # holds for any values at the nodes, so it passes.
+    view = _small_iid_view()
+    view.ent_by_depth = [[e + 5 for e in ents] for ents in view.ent_by_depth]
+    assert _failing_rows(view) == {("chain-step4-kl-budget", "K_bar <= ln(d)/L + C_bar")}
+    # z_3, the never-played successor of level 1's one interval, moved far
+    # from z_2: A2, A3 and K_bar move too but stay within their bounds, and
+    # no recorded key is compared with z_3.
+    view = _small_iid_view()
+    view.preds[0][0][2] = make_rational_dist([98, 1, 1], 100)
+    assert _failing_rows(view) == {("smoothness-step", "level=1"), ("pseudo-regret-tight", "level=1")}

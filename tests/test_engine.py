@@ -117,6 +117,18 @@ def test_simulate_refuses_a_seed_outside_64_bits(seed):
         simulate(cfg, IIDAdversary(uniform(2)), seed)
 
 
+@pytest.mark.parametrize("trial", [-1, 2**64, 2**64 + 3])
+def test_simulate_refuses_a_trial_outside_64_bits(trial):
+    # read mod 2**64 like a seed, 2**64 would rerun trial 0 and -1 trial
+    # 2**64 - 1, each recorded under another trial number
+    cfg = ForecastConfig(d=2, L=1, H=2, S=1, m=1)
+    for mode in ("distributional", "sampled"):
+        with pytest.raises(ConfigInvalid, match=r"trial must be in \[0, 2\*\*64\)"):
+            simulate(cfg, IIDAdversary(uniform(2)), 7, mode=mode, trial=trial)
+    for end in (0, 2**64 - 1):
+        assert simulate(cfg, IIDAdversary(uniform(2)), 7, trial=end).trial == end
+
+
 def test_replay_shows_each_block_mixture_before_pulling_its_days():
     cfg = ForecastConfig(d=2, L=2, H=2, S=3, m=1)
     _, recorded, _ = simulate_recorded(cfg, IIDAdversary(uniform(2)), seed=4)
@@ -253,23 +265,29 @@ def test_ece_tallies_are_the_fold_of_the_drawn_days(cfg, make_adv):
 class MixedAdversary:
     """A point mass on some days, a drawn law on the others.
 
-    Per block (one segment of S days) or per day (S one-day segments)."""
+    Per block, keys-only: the law follows the coordinate the forecast's
+    mixture favours most, and plays for the block's S days as one segment.
+    Per day: the law follows the day, and each day is its own segment."""
 
     name = "mixed"
 
-    def __init__(self, constant_within_block):
-        self.constant_within_block = constant_within_block
+    def __init__(self, keys_only):
+        self.keys_only = keys_only
         self.laws = [point_mass(3, 2), make_rational_dist([1, 2, 4], 7),
                      make_rational_dist([1, 1, 2], 4)]
         self.played = set()
 
     def next(self, t, level_keys):
-        law = self.laws[t * 7 // 5 % 3]
+        if self.keys_only:
+            mass = [sum(Fraction(nums[i], den) for nums, den in level_keys) for i in range(3)]
+            law = self.laws[mass.index(max(mass))]
+        else:
+            law = self.laws[t * 7 // 5 % 3]
         self.played.add(law)
         return law
 
 
-@pytest.mark.parametrize("constant", [True, False], ids=["per-block", "per-day"])
+@pytest.mark.parametrize("keys_only", [True, False], ids=["per-block", "per-day"])
 @pytest.mark.parametrize("cfg", [
     ForecastConfig(d=3, L=3, H=2, S=1, m=1),
     ForecastConfig(d=3, L=2, H=3, S=3, m=2),
@@ -278,7 +296,7 @@ class MixedAdversary:
     # batch's 8 leftover levels and a second batch of only the 9 days left
     ForecastConfig(d=3, L=2, H=11, S=17, m=2),
 ])
-def test_sampled_levels_are_one_stream_per_run(monkeypatch, cfg, constant):
+def test_sampled_levels_are_one_stream_per_run(monkeypatch, cfg, keys_only):
     # Whatever law a segment follows, its days take the next levels of the
     # run's one level stream, and the run draws exactly T of them.
     drawn = []
@@ -291,13 +309,13 @@ def test_sampled_levels_are_one_stream_per_run(monkeypatch, cfg, constant):
     monkeypatch.setattr(_kernel_py, "draw_level_counts", spy_draw_level_counts)
     for seed in (0, 5):
         drawn.clear()
-        adv = MixedAdversary(constant)
+        adv = MixedAdversary(keys_only)
         run, _, levels = simulate_recorded(cfg, adv, seed, mode="sampled")
         assert len(adv.played) == 3  # point mass and drawn laws alike
         s = Stream(stream_key(seed, ROLE_LEVEL, 0), 0)
         assert levels == [s.below(cfg.L) for _ in range(cfg.T)]
         assert sum(drawn) == cfg.T and len(drawn) == -(-cfg.T // CHUNK)
-        assert simulate(cfg, MixedAdversary(constant), seed, mode="sampled") == run
+        assert simulate(cfg, MixedAdversary(keys_only), seed, mode="sampled") == run
 
 
 class SpyAdaptive(AdaptiveArgminAdversary):
@@ -330,26 +348,35 @@ def test_keys_only_adversary_is_asked_once_per_distinct_forecast_of_each_run():
         assert sorted(adv.asked) == sorted(set(forecasts))
 
 
-@pytest.mark.parametrize("constant", [True, False], ids=["per-block", "per-day"])
-def test_undeclared_adversary_is_asked_every_block_or_day(constant):
+class Undeclared:
+    """A name and `next`, and no declaration of how often to ask."""
+
+    name = "undeclared"
+
+    def __init__(self):
+        self.asked = []
+
+    def next(self, t, level_keys):
+        self.asked.append(t)
+        return make_rational_dist([1, 2, 4], 7) if t % 3 else point_mass(3, 2)
+
+
+@pytest.mark.parametrize("mode", ["distributional", "sampled"])
+def test_undeclared_adversary_is_asked_every_day(mode):
     cfg = ForecastConfig(d=3, L=3, H=2, S=3, m=1)
-    asked = []
-    adv = MixedAdversary(constant)
-    assert not hasattr(adv, "keys_only")
-    law_of = adv.next
-    adv.next = lambda t, level_keys: asked.append(t) or law_of(t, level_keys)
-    simulate(cfg, adv, seed=4, mode="sampled")
-    days = range(1, cfg.T + 1)
-    assert asked == (list(days) if not constant else list(days[:: cfg.S]))
+    adv = Undeclared()
+    run, outcomes, _ = simulate_recorded(cfg, adv, seed=4, mode=mode)
+    assert adv.asked == list(range(1, cfg.T + 1))
+    assert all(x == 2 for t, x in enumerate(outcomes, 1) if t % 3 == 0)
+    assert_replay_matches(run, outcomes)
 
 
 class Hidden:
     """Plays an adversary's laws without declaring `keys_only`."""
 
-    def __init__(self, adversary, constant_within_block):
+    def __init__(self, adversary):
         self.adversary = adversary
         self.name = adversary.name
-        self.constant_within_block = constant_within_block
 
     def next(self, t, level_keys):
         return self.adversary.next(t, level_keys)
@@ -385,21 +412,33 @@ def _run_and_sinks(cfg, adv, seed, mode):
     return run, seen
 
 
+def _per_day(seen):
+    """Sink arguments with every on_day segment cut into its days."""
+    flat = []
+    for kind, args in seen:
+        if kind == "block":
+            flat.append((kind, args))
+            continue
+        t, outcomes, levels, law = args
+        for i, x in enumerate(outcomes):
+            flat.append((kind, t + i, x, None if levels is None else levels[i], law))
+    return flat
+
+
 def test_asking_once_per_forecast_changes_no_result():
     # A keys-only adversary and the same laws from an adversary that does not
-    # declare it give equal runs and equal sink arguments, whether the
-    # memoized law covers a block or each of its days.
+    # declare it give equal runs and the same days at the sinks: one S-day
+    # segment per block against S one-day segments.
     gen = fixed_stream(26)
     for case in range(200):
         cfg, adv, mode, seed = _random_keys_only_case(gen)
-        constant = bool(case % 4)
-        memo_run, memo_seen = _run_and_sinks(cfg, DeclaredKeysOnly(adv, constant), seed, mode)
-        plain_run, plain_seen = _run_and_sinks(cfg, Hidden(adv, constant), seed, mode)
+        memo_run, memo_seen = _run_and_sinks(cfg, DeclaredKeysOnly(adv), seed, mode)
+        plain_run, plain_seen = _run_and_sinks(cfg, Hidden(adv), seed, mode)
         assert memo_run == plain_run, (case, cfg, adv.name, mode)
-        assert memo_seen == plain_seen, (case, cfg, adv.name, mode)
-        if constant:
-            # the adversary's own declaration takes the same path
-            assert _run_and_sinks(cfg, adv, seed, mode) == (memo_run, memo_seen)
+        assert _per_day(memo_seen) == _per_day(plain_seen), (case, cfg, adv.name, mode)
+        assert len(plain_seen) == len(memo_seen) + (cfg.S - 1) * len(memo_run.leaf_counts)
+        # the adversary's own declaration takes the same path
+        assert _run_and_sinks(cfg, adv, seed, mode) == (memo_run, memo_seen)
 
 
 class WrongDimensionLater(AdaptiveArgminAdversary):

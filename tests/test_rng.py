@@ -103,15 +103,8 @@ def _check_sim_days(okey, octr, n_days, nums, lkey, lctr, n_levels):
     octr_end, lctr_end, counts, outcomes, levels = want
     assert _kernel_py.sim_days(*args, False, True) == (octr_end, lctr, counts, outcomes, None)
     assert _kernel_py.sim_days(*args, False, False) == (octr_end, lctr, counts, None, None)
-    # the same days' levels come from draw_level_counts on the same stream:
-    # the sequence when recorded, else only its counts
-    level_counts = [levels.count(v) for v in range(n_levels)]
-    assert _kernel_py.draw_level_counts(lkey, lctr, n_days, n_levels, True) == (
-        lctr_end, None, levels,
-    )
-    assert _kernel_py.draw_level_counts(lkey, lctr, n_days, n_levels, False) == (
-        lctr_end, level_counts, None,
-    )
+    # the same days' levels come from draw_level_counts on the same stream
+    assert _kernel_py.draw_level_counts(lkey, lctr, n_days, n_levels) == (lctr_end, levels)
     return want
 
 
@@ -137,9 +130,7 @@ def test_kernel_block_sizes_match_stream_reference(n_days):
     _check_sim_days(11, 5, n_days, [1, 3, 6], 22, 2, 3)
     s = Stream(4, 7)
     seq = [s.below(5) for _ in range(n_days)]
-    counts = [seq.count(v) for v in range(5)]
-    assert _kernel_py.draw_level_counts(4, 7, n_days, 5, True) == (s.counter, None, seq)
-    assert _kernel_py.draw_level_counts(4, 7, n_days, 5, False) == (s.counter, counts, None)
+    assert _kernel_py.draw_level_counts(4, 7, n_days, 5) == (s.counter, seq)
 
 
 @pytest.mark.parametrize("n_days", [1, 9, 300])
@@ -182,9 +173,7 @@ def test_kernel_power_of_two_level_counts_match_stream_reference(n_levels, n_day
     for ctr in (7, MASK64 - 2):
         s = Stream(4, ctr)
         seq = [s.below(n_levels) for _ in range(n_days)]
-        counts = [seq.count(v) for v in range(n_levels)]
-        assert _kernel_py.draw_level_counts(4, ctr, n_days, n_levels, True) == (s.counter, None, seq)
-        assert _kernel_py.draw_level_counts(4, ctr, n_days, n_levels, False) == (s.counter, counts, None)
+        assert _kernel_py.draw_level_counts(4, ctr, n_days, n_levels) == (s.counter, seq)
 
 
 def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
@@ -201,7 +190,7 @@ def test_kernel_counts_only_power_of_two_calls_never_decode(monkeypatch):
     # level draws, any call that records a list or has more outcomes still
     # decode
     with pytest.raises(AssertionError, match="decoded"):
-        _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4, False)
+        _kernel_py.draw_level_counts(22, 2, CHUNK + 9, 4)
     with pytest.raises(AssertionError, match="decoded"):
         _kernel_py.sim_days(*args, False, True)
     with pytest.raises(AssertionError, match="decoded"):
@@ -305,7 +294,7 @@ def test_one_day_calls_pack_one_page_per_page_of_draws(monkeypatch):
     lctr, seq = 0, []
     try:
         for _ in range(3 * PAGE + 5):
-            lctr, _, day = _kernel_py.draw_level_counts(77, lctr, 1, 4, True)
+            lctr, day = _kernel_py.draw_level_counts(77, lctr, 1, 4)
             seq += day
     finally:
         _kernel_py._page.cache_clear()
@@ -329,6 +318,4 @@ def test_lane_decode_byteswaps_on_big_endian_hosts():
 def test_kernel_level_draws_match_stream_reference():
     s = Stream(4, 7)
     seq = [s.below(5) for _ in range(1000)]
-    counts = [seq.count(v) for v in range(5)]
-    assert _kernel_py.draw_level_counts(4, 7, 1000, 5, True) == (s.counter, None, seq)
-    assert _kernel_py.draw_level_counts(4, 7, 1000, 5, False) == (s.counter, counts, None)
+    assert _kernel_py.draw_level_counts(4, 7, 1000, 5) == (s.counter, seq)
